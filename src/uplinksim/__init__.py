@@ -2,31 +2,24 @@
 deadline-driven and fairness-aware bandwidth scheduling policies on
 throughput, delay, deadline misses, starvation and context switches."""
 
-from .model import (Cell, ConfigError, Grant, Request, Scenario, ServiceClass,
+from .model import (Cell, ConfigError, Request, Scenario, ServiceClass,
                     SubscriberStation, canonical_scenario, make_request,
-                    remaining_bits, validate_scenario)
-from .traffic import TrafficSpec, generate, starvation_scenario
+                    validate_scenario)
+from .traffic import TrafficSpec, starvation_scenario
 from .schedulers import (POLICY_NAMES, Outcome, SchedulerDecision,
-                         claim_value, context_switches, edf_select,
-                         hedf_decide, make_policy, ssbpf_priority,
+                         claim_value, hedf_decide, ssbpf_priority,
                          update_historical_throughput)
-from .engine import (EventLog, InvariantError, SimClock, apply_grant,
-                     deadline_policy, run, simulate)
-from .metrics import (DelayStats, MetricsRecord, compute_metrics,
-                      end_to_end_delay, export_csv, starvation_window,
-                      throughput)
+from .engine import EventLog, InvariantError, run, simulate
+from .metrics import DelayStats, MetricsRecord, compute_metrics
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell", "ConfigError", "Grant", "Request", "Scenario", "ServiceClass",
+    "Cell", "ConfigError", "Request", "Scenario", "ServiceClass",
     "SubscriberStation", "canonical_scenario", "make_request",
-    "remaining_bits", "validate_scenario", "TrafficSpec", "generate",
-    "starvation_scenario", "POLICY_NAMES", "Outcome", "SchedulerDecision",
-    "claim_value", "context_switches", "edf_select", "hedf_decide",
-    "make_policy", "ssbpf_priority", "update_historical_throughput",
-    "EventLog", "InvariantError", "SimClock", "apply_grant",
-    "deadline_policy", "run", "simulate", "DelayStats", "MetricsRecord",
-    "compute_metrics", "end_to_end_delay", "export_csv", "starvation_window",
-    "throughput",
+    "validate_scenario", "TrafficSpec", "starvation_scenario",
+    "POLICY_NAMES", "Outcome", "SchedulerDecision", "claim_value",
+    "hedf_decide", "ssbpf_priority", "update_historical_throughput",
+    "EventLog", "InvariantError", "run", "simulate", "DelayStats",
+    "MetricsRecord", "compute_metrics",
 ]

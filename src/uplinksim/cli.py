@@ -5,13 +5,14 @@ Subcommands::
     uplinksim run      --scenario <name|path> [--policy a,b] [--seed 1,2]
                        [--frames N] [--out DIR] [--force] [--drop-on-miss]
     uplinksim validate <name|path>
-    uplinksim report   <events.csv> [...] [--frame-duration-ms F] [--out DIR]
+    uplinksim report   <events.csv> [...] [--frame-duration-ms F]
+                       [--frames N] [--out DIR] [--force]
 
 ``run`` executes the cross product of policies and seeds, writes one
 per-event CSV per run plus a combined ``summary.csv``, and prints the summary
 table. ``validate`` checks a config without running and prints the resolved
 effective configuration. ``report`` recomputes global metrics from existing
-per-event CSVs.
+per-event CSVs, refusing (exit 2) stamps that contradict the frame duration.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal
 invariant breach.
@@ -212,21 +213,13 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def load_scenario(ref: str, *, seed: Optional[int] = None,
-                  scheduler: Optional[str] = None,
-                  total_frames: Optional[int] = None,
+def load_scenario(ref: str, *, total_frames: Optional[int] = None,
                   drop_on_miss: Optional[bool] = None) -> Scenario:
     """Resolve a builtin name or YAML path, with optional overrides."""
     builder = BUILTIN_SCENARIOS.get(ref)
     if builder is not None:
-        kwargs = {}
-        if seed is not None:
-            kwargs["seed"] = seed
-        if scheduler is not None:
-            kwargs["scheduler_name"] = scheduler
-        if total_frames is not None:
-            kwargs["total_frames"] = total_frames
-        sc = builder(**kwargs)
+        sc = builder() if total_frames is None else builder(
+            total_frames=total_frames)
     else:
         if not os.path.exists(ref):
             raise ConfigError(
@@ -238,10 +231,6 @@ def load_scenario(ref: str, *, seed: Optional[int] = None,
         except yaml.YAMLError as exc:
             raise ConfigError([f"scenario file {ref}: {exc}"]) from exc
         sc = scenario_from_dict(doc, os.path.splitext(os.path.basename(ref))[0])
-        if seed is not None:
-            sc = replace(sc, seed=seed)
-        if scheduler is not None:
-            sc = replace(sc, scheduler_name=scheduler)
         if total_frames is not None:
             sc = replace(sc, total_frames=total_frames)
     if drop_on_miss is not None:
@@ -277,9 +266,7 @@ def cmd_run(args) -> int:
     station_ids = [s.id for s in base.stations]
     for policy in policies:
         for seed in seeds:
-            sc = load_scenario(args.scenario, seed=seed, scheduler=policy,
-                               total_frames=args.frames,
-                               drop_on_miss=args.drop_on_miss or None)
+            sc = replace(base, seed=seed, scheduler_name=policy)
             log, rec = run(sc)
             events_path = os.path.join(
                 args.out, f"{sc.name}_{policy}_seed{seed}.events.csv")

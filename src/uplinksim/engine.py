@@ -6,6 +6,15 @@ frame (at the frame start, so a request can be served in its arrival frame),
 (4) record completions and deadline misses at the closing frame boundary,
 (5) fold the frame's served bits into each station's smoothed throughput.
 
+Frame ``f`` opens at ``f*delta`` and closes at ``f*delta + delta``, computed
+as exactly these float expressions (see ``metrics.load_events_csv``).
+
+Deadline-miss rule: at the first closing boundary strictly past its
+deadline, a request that did not complete at or before the deadline is
+logged once as a deadline_miss. A deadline exactly on a boundary is still
+pending at that boundary. Missed requests stay queued and are served late,
+unless the scenario sets ``drop_on_miss``.
+
 Event records are 7-tuples ``(frame, time_ms, event, cell, station, request,
 bits)``. Arrivals carry their true arrival time; grant, completion,
 deadline_miss and context_switch records are stamped at the closing boundary
@@ -26,7 +35,7 @@ from typing import Dict, List, Tuple
 
 from .model import (ConfigError, Grant, Request, Scenario, SubscriberStation,
                     validate_scenario)
-from .schedulers import make_policy
+from .schedulers import make_policy, update_historical_throughput
 from .traffic import build_requests
 
 EVENT_TYPES = ("arrival", "grant", "completion", "deadline_miss",
@@ -35,21 +44,6 @@ EVENT_TYPES = ("arrival", "grant", "completion", "deadline_miss",
 
 class InvariantError(Exception):
     """An internal consistency check failed; the run is aborted."""
-
-
-@dataclass(slots=True)
-class SimClock:
-    """Frame counter; ``now`` is exactly frame_index * frame_duration."""
-
-    frame_duration_ms: float
-    frame_index: int = 0
-
-    @property
-    def now(self) -> float:
-        return self.frame_index * self.frame_duration_ms
-
-    def advance(self) -> None:
-        self.frame_index += 1
 
 
 @dataclass
@@ -78,15 +72,6 @@ class EventLog:
 
     def iter_events(self, event_type: str):
         return (e for e in self.events if e[2] == event_type)
-
-
-def deadline_policy(r: Request, now: float) -> str:
-    """"missed" once ``now`` is strictly past the deadline, else "pending".
-
-    Missed requests stay queued and are still served late; the engine
-    records the miss once, at the first frame boundary past the deadline.
-    """
-    return "missed" if now > r.deadline else "pending"
 
 
 def apply_grant(r: Request, g: Grant) -> bool:
@@ -147,13 +132,13 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     drop = scenario.drop_on_miss
     miss_heap: List[Tuple[float, int, Request]] = []
     completed_at: Dict[int, float] = {}
-    # Per cell: (last granted request, was it incomplete after that grant).
+    # Per cell: (last granted request, was it incomplete after that grant);
+    # the context-switch rule of metrics.count_context_switches.
     prev_grant: Dict[int, Tuple[Request, bool]] = {}
     served_frame: Dict[int, int] = {}
 
-    clock = SimClock(delta)
     for f in range(n_frames):
-        now = clock.now
+        now = f * delta
         boundary = now + delta
 
         for r in buckets[f]:
@@ -218,22 +203,20 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                 policy_of_station[r.station_id].on_drop(r)
 
         for st in stations:
-            st.historical_throughput += alpha * (
-                served_frame.get(st.id, 0) - st.historical_throughput)
+            st.historical_throughput = update_historical_throughput(
+                st.historical_throughput, served_frame.get(st.id, 0), alpha)
         served_frame.clear()
-        clock.advance()
 
     log.final_station_throughput = {
         s.id: s.historical_throughput for s in stations}
     return log
 
 
-def run(scenario: Scenario, *, validate: bool = True):
-    """Simulate a scenario end to end; returns (EventLog, MetricsRecord)."""
-    if validate:
-        violations = validate_scenario(scenario)
-        if violations:
-            raise ConfigError(violations)
+def run(scenario: Scenario):
+    """Validate, then simulate a scenario; returns (EventLog, MetricsRecord)."""
+    violations = validate_scenario(scenario)
+    if violations:
+        raise ConfigError(violations)
     requests = build_requests(scenario)
     log = simulate(scenario, requests)
     from .metrics import compute_metrics  # engine <-> metrics one-way at import

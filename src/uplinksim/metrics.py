@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .engine import EventLog
-from .model import ServiceClass
-from .schedulers import context_switches
+from .model import ConfigError, ServiceClass
 
 CLASS_ORDER = [c.value for c in ServiceClass]
 EVENT_HEADER = ["frame", "time_ms", "event", "cell", "station", "request",
@@ -77,36 +76,13 @@ def delay_stats(values: Iterable[float]) -> DelayStats:
     )
 
 
-def throughput(log: EventLog, duration_s: float) -> float:
-    """Completed bits per second over the run."""
-    if duration_s <= 0:
-        raise ValueError(f"duration must be > 0, got {duration_s}")
-    total = sum(e[6] for e in log.iter_events("completion"))
-    return total / duration_s
-
-
-def end_to_end_delay(log: EventLog) -> DelayStats:
-    """Departure minus arrival over completed requests.
-
-    Incomplete requests are excluded here; those already past their deadline
-    show up in the miss ratio instead.
-    """
-    return delay_stats(
-        e[1] - log.requests[e[5]].arrival_time
-        for e in log.iter_events("completion"))
-
-
-def starvation_window(log: EventLog, station_id: int) -> float:
-    """Longest interval the station was backlogged but received no grant.
+def compute_starvation_windows(log: EventLog) -> Dict[int, float]:
+    """Per station, the longest backlogged interval without a single grant.
 
     Frame-granular: a frame counts toward a window when the station holds
     unserved bits after that frame's arrivals and ends the frame without a
     single granted bit.
     """
-    return compute_starvation_windows(log)[station_id]
-
-
-def compute_starvation_windows(log: EventLog) -> Dict[int, float]:
     arrived: Dict[int, Dict[int, int]] = {sid: {} for sid in log.station_ids}
     removed: Dict[int, Dict[int, int]] = {sid: {} for sid in log.station_ids}
     granted_in: Dict[int, set] = {sid: set() for sid in log.station_ids}
@@ -148,19 +124,31 @@ def compute_starvation_windows(log: EventLog) -> Dict[int, float]:
 
 
 def count_context_switches(log: EventLog) -> int:
-    """Recount preemptive transitions from the grant trace alone.
+    """Recount preemptive transitions from the grant records alone.
 
-    Always equals the number of context_switch events the engine logged;
-    kept as an independent path so the two can be checked against each other.
+    A transition counts when, within one cell, the granted request changes
+    while the previously granted request was still incomplete after its
+    grant. Completions therefore never count: finishing a request forces a
+    transition no policy could avoid. The engine logs context_switch events
+    by this rule as it applies grants; the recount is an independent path so
+    the two can be checked against each other.
     """
-    return context_switches(
-        ((e[4], e[5], e[6]) for e in log.iter_events("grant")),
-        size_of={rid: r.size_bits for rid, r in log.requests.items()},
-        cell_of=log.cell_of_station,
-    )
+    served: Dict[int, int] = {}
+    prev: Dict[int, Tuple[int, bool]] = {}  # cell -> (request, was incomplete)
+    count = 0
+    for _, _, _, cell, _, rid, bits in log.iter_events("grant"):
+        served[rid] = served.get(rid, 0) + bits
+        last = prev.get(cell)
+        if last is not None and last[0] != rid and last[1]:
+            count += 1
+        prev[cell] = (rid, served[rid] < log.requests[rid].size_bits)
+    return count
 
 
 def compute_metrics(log: EventLog) -> MetricsRecord:
+    """Aggregate one run. Throughput counts completed bits only; delay is
+    departure minus arrival over completed requests, so requests still
+    incomplete at the end show up in the miss ratio, not in the delay."""
     duration_s = log.duration_s
     offered_bits = 0
     total_requests = 0
@@ -307,19 +295,6 @@ def record_from_summary(row: Dict[str, object],
     )
 
 
-def export_csv(log: EventLog, rec: MetricsRecord, out_dir: str,
-               basename: str, *, force: bool = False) -> Tuple[str, str]:
-    """Write one run's event file and one-row summary file."""
-    os.makedirs(out_dir, exist_ok=True)
-    events_path = os.path.join(out_dir, f"{basename}.events.csv")
-    summary_path = os.path.join(out_dir, f"{basename}.summary.csv")
-    write_events_csv(log, events_path, force=force)
-    row = summary_row(log.scenario_name, log.policy_name, log.seed, rec,
-                      log.station_ids)
-    write_summary_csv([row], log.station_ids, summary_path, force=force)
-    return events_path, summary_path
-
-
 @dataclass(slots=True)
 class ReqInfo:
     """Minimal request view reconstructed from an arrival row."""
@@ -335,22 +310,44 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
                     total_frames: Optional[int] = None) -> EventLog:
     """Rebuild a log from a per-event CSV for re-summarising.
 
-    Service classes are not part of the event schema, so per-class delay
-    stats of a reloaded log land under the single key "unknown".
+    The file does not carry the frame duration, so every non-arrival row is
+    checked against the engine's stamp ``frame*delta + delta`` for
+    ``delta = frame_duration_ms``. A mismatch, a malformed file or a run of
+    no frames raises ConfigError. Service classes are not part of the event
+    schema, so per-class delay stats of a reloaded log land under the single
+    key "unknown".
     """
+    delta = frame_duration_ms
     events: List[tuple] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != EVENT_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for row in reader:
-            events.append((int(row[0]), float(row[1]), row[2], int(row[3]),
-                           int(row[4]), int(row[5]), int(row[6])))
-    max_frame = max((e[0] for e in events), default=-1)
+            raise ConfigError([f"{path}: unexpected header {header!r}, "
+                               f"expected {EVENT_HEADER!r}"])
+        try:
+            for row in reader:
+                e = (int(row[0]), float(row[1]), row[2], int(row[3]),
+                     int(row[4]), int(row[5]), int(row[6]))
+                if e[0] < 0:
+                    raise ValueError(f"negative frame {e[0]}")
+                if e[2] != "arrival" and e[1] != e[0] * delta + delta:
+                    raise ConfigError([
+                        f"{path}: {e[2]} of frame {e[0]} stamped {e[1]!r} ms "
+                        f"implies a frame duration of {e[1] / (e[0] + 1)!r} "
+                        f"ms, not {delta!r} ms"])
+                events.append(e)
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(
+                [f"{path}:{reader.line_num}: malformed row: {exc}"]) from exc
+    if total_frames is None:
+        total_frames = max((e[0] for e in events), default=-1) + 1
+    if total_frames <= 0 or delta <= 0:
+        raise ConfigError([f"{path}: duration must be > 0, got {total_frames} "
+                           f"frames of {delta!r} ms"])
     log = EventLog(
-        frame_duration_ms=frame_duration_ms,
-        total_frames=total_frames if total_frames is not None else max_frame + 1,
+        frame_duration_ms=delta,
+        total_frames=total_frames,
         scenario_name=os.path.basename(path),
         events=events,
     )

@@ -74,10 +74,6 @@ class Request:
     served_bits: int = 0
     dropped: bool = False
 
-    @property
-    def complete(self) -> bool:
-        return self.served_bits >= self.size_bits
-
 
 def make_request(req_id: int, station_id: int, service_class: ServiceClass,
                  arrival_time: float, size_bits: int) -> Request:
@@ -90,11 +86,6 @@ def make_request(req_id: int, station_id: int, service_class: ServiceClass,
         size_bits=size_bits,
         deadline=arrival_time + service_class.deadline_offset_ms,
     )
-
-
-def remaining_bits(r: Request) -> int:
-    """Bits still owed to a request."""
-    return r.size_bits - r.served_bits
 
 
 @dataclass(slots=True)
@@ -113,9 +104,6 @@ class SubscriberStation:
     historical_throughput: float = 0.0
     queue: Deque[Request] = field(default_factory=deque)
     wrr_weight: Optional[int] = None
-
-    def backlog_bits(self) -> int:
-        return sum(r.size_bits - r.served_bits for r in self.queue)
 
 
 @dataclass(slots=True)
@@ -160,9 +148,6 @@ class Scenario:
     @property
     def duration_ms(self) -> float:
         return self.total_frames * self.frame_duration
-
-    def station_by_id(self) -> Dict[int, SubscriberStation]:
-        return {s.id: s for s in self.stations}
 
     def fresh_stations(self) -> List[SubscriberStation]:
         """Per-run copies so a run never mutates the scenario itself."""

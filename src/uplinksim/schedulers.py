@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .model import Cell, Grant, Request, SubscriberStation
 
@@ -55,18 +55,6 @@ def update_historical_throughput(th: float, served_this_frame: float,
     point exactly, with no floating-point drift.
     """
     return th + alpha * (served_this_frame - th)
-
-
-def edf_select(candidates: Sequence[Request], now: float) -> Request:
-    """The pending request that is due first.
-
-    Ties break on earlier arrival, then lower id. ``now`` does not affect
-    the choice; it is part of the interface for policies that may want
-    tardiness-aware variants.
-    """
-    if not candidates:
-        raise ValueError("edf_select requires a nonempty candidate list")
-    return min(candidates, key=lambda r: (r.deadline, r.arrival_time, r.id))
 
 
 def claim_value(burst_next: float, total_current: float,
@@ -102,8 +90,9 @@ def hedf_decide(mu: float, next_deadline: float) -> SchedulerDecision:
     return SchedulerDecision(mu, next_deadline, outcome)
 
 
-# Heap entries are (deadline, arrival_time, id, request): unique ids make the
-# tuple ordering total, and it matches edf_select's tie-breaking exactly.
+# EDF order: earliest deadline first, ties to the earlier arrival, then to
+# the lower id. Heap entries are (deadline, arrival_time, id, request);
+# unique ids make the tuple ordering total.
 _HeapEntry = Tuple[float, float, int, Request]
 
 
@@ -415,28 +404,3 @@ def make_policy(name: str, cell: Cell,
         raise ValueError(f"unknown policy {name!r}; "
                          f"expected one of {POLICY_NAMES}") from None
     return cls(cell, stations, frame_duration_ms)
-
-
-def context_switches(grant_stream: Iterable[Tuple[int, int, int]],
-                     size_of: Dict[int, int],
-                     cell_of: Dict[int, int]) -> int:
-    """Count preemptive transitions in a grant trace.
-
-    ``grant_stream`` yields (station_id, request_id, granted_bits) in trace
-    order. A transition counts when, within one cell, the granted request id
-    changes while the previously granted request was still incomplete after
-    its grant. Completions therefore never count: finishing a request forces
-    a transition no policy could avoid.
-    """
-    served: Dict[int, int] = {}
-    prev: Dict[int, Tuple[int, bool]] = {}  # cell -> (request, was incomplete)
-    count = 0
-    for station_id, request_id, bits in grant_stream:
-        cell = cell_of[station_id]
-        served[request_id] = served.get(request_id, 0) + bits
-        if cell in prev:
-            prev_id, prev_incomplete = prev[cell]
-            if prev_id != request_id and prev_incomplete:
-                count += 1
-        prev[cell] = (request_id, served[request_id] < size_of[request_id])
-    return count

@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .model import (Cell, Request, Scenario, ServiceClass, SubscriberStation,
-                    make_request)
+from .model import (Cell, ConfigError, Request, Scenario, ServiceClass,
+                    SubscriberStation, make_request)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,17 +104,17 @@ def validate_spec(spec: TrafficSpec) -> List[str]:
 
 
 def generate(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
-             *, source_index: int = 0, first_id: int = 0) -> List[Request]:
+             *, source_index: int = 0) -> List[Request]:
     """Emit the time-ordered requests of one source up to ``horizon`` ms.
 
     constant_rate places packets at exact multiples of
     packet_size_bits / rate_bits_per_s starting at ``start_time``; poisson
     draws exponential inter-arrivals at the same mean rate from the seeded
-    generator. Deadlines follow the service class offset.
+    generator. Deadlines follow the service class offset. Ids count from 0.
     """
     end = min(spec.stop_time, horizon)
     out: List[Request] = []
-    rid = first_id
+    rid = 0
     if spec.pattern == "constant_rate":
         interval_ms = spec.packet_size_bits / spec.rate_bits_per_s * 1000.0
         k = 0
@@ -145,12 +145,18 @@ def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,
     """Merge all of one station's sources into a single time-ordered stream.
 
     Ids are assigned after the merge from the station's private namespace, so
-    they are stable for a fixed (specs, seed, station) triple.
+    they are stable for a fixed (specs, seed, station) triple. A station that
+    would emit more requests than its namespace holds raises ConfigError
+    rather than reuse the next station's ids.
     """
     tagged: List[Tuple[float, int, Request]] = []
     for k, spec in enumerate(specs):
         for r in generate(spec, station_id, seed, horizon, source_index=k):
             tagged.append((r.arrival_time, k, r))
+    if len(tagged) > IDS_PER_STATION:
+        raise ConfigError([
+            f"traffic_specs[{station_id}]: {len(tagged)} requests exceed the "
+            f"{IDS_PER_STATION} request ids of one station"])
     tagged.sort(key=lambda item: (item[0], item[1]))
     base = station_id * IDS_PER_STATION
     out = []

@@ -1,11 +1,25 @@
 """Shared test helpers: a minimal single-cell policy harness that mimics the
-engine's grant application without events or metrics."""
+engine's grant application without events or metrics, and a linear-scan EDF
+oracle."""
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from uplinksim.model import (Cell, Grant, Request, ServiceClass,
                              SubscriberStation, make_request)
 from uplinksim.schedulers import SchedulerPolicy, make_policy
+
+
+def edf_select(candidates: Sequence[Request]) -> Request:
+    """The request that is due first by a linear scan; ties break on earlier
+    arrival, then lower id."""
+    if not candidates:
+        raise ValueError("edf_select requires a nonempty candidate list")
+    best = candidates[0]
+    for r in candidates[1:]:
+        if (r.deadline, r.arrival_time, r.id) < \
+                (best.deadline, best.arrival_time, best.id):
+            best = r
+    return best
 
 
 class PolicyHarness:
@@ -29,19 +43,23 @@ class PolicyHarness:
 
     def arrive(self, station_id: int, size_bits: int, arrival: float,
                service_class: ServiceClass = ServiceClass.RTPS,
-               deadline: Optional[float] = None) -> Request:
-        r = make_request(self._next_id, station_id, service_class, arrival,
+               deadline: Optional[float] = None,
+               request_id: Optional[int] = None) -> Request:
+        if request_id is None:
+            request_id = self._next_id
+        r = make_request(request_id, station_id, service_class, arrival,
                          size_bits)
         if deadline is not None:
             r.deadline = deadline
-        self._next_id += 1
+        self._next_id = max(self._next_id, request_id) + 1
         self.requests[r.id] = r
         self.stations[station_id].queue.append(r)
         self.policy.on_arrival(r)
         return r
 
     def backlog(self) -> int:
-        return sum(st.backlog_bits() for st in self.stations.values())
+        return sum(r.size_bits - r.served_bits
+                   for st in self.stations.values() for r in st.queue)
 
     def frame(self, frame_index: int,
               capacity: Optional[int] = None) -> List[Grant]:
@@ -53,6 +71,6 @@ class PolicyHarness:
             r = self.requests[g.request_id]
             assert 0 < g.granted_bits <= r.size_bits - r.served_bits
             r.served_bits += g.granted_bits
-            if r.complete:
+            if r.served_bits == r.size_bits:
                 self.stations[r.station_id].queue.remove(r)
         return grants

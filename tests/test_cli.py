@@ -178,3 +178,38 @@ def test_invariant_breach_exit_4(monkeypatch, tmp_path):
 def test_load_scenario_unknown_name():
     with pytest.raises(ConfigError):
         load_scenario("no_such_builtin")
+
+
+def test_report_refuses_wrong_frame_duration(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    main(["run", "--scenario", "canonical", "--policy", "edf", "--seed", "1",
+          "--frames", "400", "--out", out])
+    events = os.path.join(out, "canonical_edf_seed1.events.csv")
+    capsys.readouterr()
+    rc = main(["report", events, "--frame-duration-ms", "2",
+               "--frames", "400"])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "implies a frame duration of 5.0 ms" in captured.err
+    assert captured.out == ""
+
+
+def test_report_header_only_without_frames_exit_2(tmp_path, capsys):
+    path = tmp_path / "empty.events.csv"
+    path.write_text("frame,time_ms,event,cell,station,request,bits\n")
+    assert main(["report", str(path)]) == EXIT_CONFIG
+    assert "duration must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("scenario,policy,seed\ncanonical,edf,1\n", "unexpected header"),
+    ("frame,time_ms,event,cell,station,request,bits\n0,5.0,grant,0,0,x,8\n",
+     "malformed row"),
+    ("frame,time_ms,event,cell,station,request,bits\n-1,3.0,grant,0,0,1,8\n",
+     "negative frame"),
+], ids=["header", "row", "frame"])
+def test_report_malformed_csv_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["report", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err

@@ -1,0 +1,68 @@
+"""Behaviour pins: the SHA-256 of the event CSV of fixed runs.
+
+Any change to traffic generation, a policy, the engine loop or the CSV
+format moves at least one of these digests. A change may update a pin only
+together with a CHANGES.md entry saying why the simulated behaviour changed.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from uplinksim.engine import run
+from uplinksim.metrics import write_events_csv
+from uplinksim.model import canonical_scenario
+from uplinksim.traffic import starvation_scenario
+
+FRAMES = 600
+BUILDERS = {"canonical": canonical_scenario,
+            "starvation": starvation_scenario}
+
+# Equal pins are expected: every canonical station has the same capacity,
+# so each wrr weight is 1 and wrr runs as rr; starvation traffic is
+# constant-rate only, so the seed does not change it.
+PINS = {
+    ("canonical", "rr", 1): "92c997703ff93d7c807d3fe841c1883a5f73cb72a7d02c34f369108425717d36",
+    ("canonical", "rr", 2): "66117f602fe335743e184a26d1703a81062b03e93812599d125f854982e3797f",
+    ("canonical", "wrr", 1): "92c997703ff93d7c807d3fe841c1883a5f73cb72a7d02c34f369108425717d36",
+    ("canonical", "wrr", 2): "66117f602fe335743e184a26d1703a81062b03e93812599d125f854982e3797f",
+    ("canonical", "edf", 1): "19f6f1d5c94b524ef2015e4999e54220f26562635d3c5435a79b9e1fe434b294",
+    ("canonical", "edf", 2): "f4a617717d49205078d286ca49cfd69d53896c9aab385179c046061811c8c50e",
+    ("canonical", "ssbpf_edf", 1): "0faae8035aebd8926847207d00bbddc2bd0009dcf6504b365862ff5c20b61f06",
+    ("canonical", "ssbpf_edf", 2): "e6f7cb19730e4943d7694dc35229df917fb5f586c6ed42fbcdcb1047e07accb1",
+    ("canonical", "hedf", 1): "71ed861f0ad63c981e0083404535e1957fe36aa2b7352f744dcd128d874f224d",
+    ("canonical", "hedf", 2): "b44a307f6e3914d69234de0b5db6ec7c79a54e1cee8a404ca946575e2b935be9",
+    ("starvation", "rr", 1): "ce7a7fee1d37460834ea55ecafea58d6088a6659a26e2f6a1717a6ee4a5a418d",
+    ("starvation", "rr", 2): "ce7a7fee1d37460834ea55ecafea58d6088a6659a26e2f6a1717a6ee4a5a418d",
+    ("starvation", "wrr", 1): "ce7a7fee1d37460834ea55ecafea58d6088a6659a26e2f6a1717a6ee4a5a418d",
+    ("starvation", "wrr", 2): "ce7a7fee1d37460834ea55ecafea58d6088a6659a26e2f6a1717a6ee4a5a418d",
+    ("starvation", "edf", 1): "ad648a4c49dc648450a59747af168b4bbc3c1572a9035effd3feb972c163f31d",
+    ("starvation", "edf", 2): "ad648a4c49dc648450a59747af168b4bbc3c1572a9035effd3feb972c163f31d",
+    ("starvation", "ssbpf_edf", 1): "ce7a7fee1d37460834ea55ecafea58d6088a6659a26e2f6a1717a6ee4a5a418d",
+    ("starvation", "ssbpf_edf", 2): "ce7a7fee1d37460834ea55ecafea58d6088a6659a26e2f6a1717a6ee4a5a418d",
+    ("starvation", "hedf", 1): "65a5ce22200c4e838544af739dc91f4fcd33e92c65ab6976748b53ea3ad06df3",
+    ("starvation", "hedf", 2): "65a5ce22200c4e838544af739dc91f4fcd33e92c65ab6976748b53ea3ad06df3",
+}
+# starvation x hedf, seed 1, with drop_on_miss on.
+DROP_ON_MISS_PIN = "87ea183181ea6168351af32411c82ac092c3242ba8dac46b0b0f53b86c3cdbf0"
+
+
+def events_digest(sc, tmp_path) -> str:
+    log, _ = run(sc)
+    path = write_events_csv(log, str(tmp_path / "events.csv"))
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario,policy,seed", sorted(PINS))
+def test_event_csv_digest(tmp_path, scenario, policy, seed):
+    sc = BUILDERS[scenario](seed=seed, scheduler_name=policy,
+                            total_frames=FRAMES)
+    assert events_digest(sc, tmp_path) == PINS[scenario, policy, seed]
+
+
+def test_event_csv_digest_drop_on_miss(tmp_path):
+    sc = replace(starvation_scenario(seed=1, scheduler_name="hedf",
+                                     total_frames=FRAMES), drop_on_miss=True)
+    assert events_digest(sc, tmp_path) == DROP_ON_MISS_PIN

@@ -1,13 +1,14 @@
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
-from uplinksim.engine import (InvariantError, SimClock, apply_grant,
-                              deadline_policy, run, simulate)
+from uplinksim.engine import InvariantError, apply_grant, run, simulate
 from uplinksim.model import (Cell, ConfigError, Grant, Scenario, ServiceClass,
                              SubscriberStation, canonical_scenario,
                              make_request)
 from uplinksim.schedulers import update_historical_throughput
+from uplinksim.traffic import build_requests
 
 RTPS = ServiceClass.RTPS
 BE = ServiceClass.BE
@@ -46,11 +47,19 @@ def requests_for(sc, items):
 
 
 def test_sim_clock_invariant():
-    clk = SimClock(5.0)
-    for f in range(100):
-        assert clk.frame_index == f
-        assert clk.now == f * 5.0
-        clk.advance()
+    # Frame f opens at f*delta: an arrival lands in frame arrival // delta,
+    # and every other record of frame f is stamped f*delta + delta exactly.
+    for frame_ms in (5.0, 2.5, 0.1):
+        sc = replace(canonical_scenario(seed=1, scheduler_name="hedf",
+                                        total_frames=400),
+                     frame_duration=frame_ms)
+        log = simulate(sc, build_requests(sc))
+        assert {"arrival", "grant", "completion"} <= {e[2] for e in log.events}
+        for f, t, kind, *_ in log.events:
+            if kind == "arrival":
+                assert f == int(t // frame_ms)
+            else:
+                assert t == f * frame_ms + frame_ms
 
 
 def test_zero_traffic_empty_run():
@@ -86,7 +95,7 @@ def test_apply_grant_completion_and_partial():
     assert apply_grant(r, Grant(0, 0, 0, 200)) is False
     assert r.served_bits == 200
     assert apply_grant(r, Grant(1, 0, 0, 300)) is True
-    assert r.complete
+    assert r.served_bits == r.size_bits
 
 
 def test_apply_grant_over_grant_aborts():
@@ -98,11 +107,16 @@ def test_apply_grant_over_grant_aborts():
 
 
 def test_deadline_policy_boundaries():
-    r = make_request(0, 0, RTPS, 0.0, 100)
-    r.deadline = 20.0
-    assert deadline_policy(r, 15.0) == "pending"
-    assert deadline_policy(r, 25.0) == "missed"
-    assert deadline_policy(r, 20.0) == "pending"
+    # A deadline of 20.0 is the closing boundary of frame 3: the request is
+    # pending at boundaries 15 and 20 and missed at 25, and a completion
+    # stamped exactly at 20.0 is on time.
+    sc = single_cell_scenario(capacity=100, frames=20)
+    late = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 1000, 20.0)]))
+    assert [(e[0], e[1]) for e in late.iter_events("deadline_miss")] == \
+        [(4, 25.0)]
+    on_time = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 400, 20.0)]))
+    assert [e[1] for e in on_time.iter_events("completion")] == [20.0]
+    assert list(on_time.iter_events("deadline_miss")) == []
 
 
 def test_invalid_scenario_rejected_with_field_path():
@@ -211,7 +225,6 @@ def test_late_request_still_served():
 
 def test_throughput_history_matches_repeated_op_application():
     sc = canonical_scenario(seed=9, scheduler_name="wrr", total_frames=700)
-    from uplinksim.traffic import build_requests
     log = simulate(sc, build_requests(sc))
     served = {sid: [0] * sc.total_frames for sid in log.station_ids}
     for e in log.iter_events("grant"):

@@ -3,13 +3,14 @@ import csv
 import pytest
 
 from uplinksim.engine import EventLog, run, simulate
-from uplinksim.metrics import (compute_metrics, count_context_switches,
-                               delay_stats, end_to_end_delay, export_csv,
+from uplinksim.metrics import (compute_metrics, compute_starvation_windows,
+                               count_context_switches, delay_stats,
                                format_table, load_events_csv,
                                parse_summary_csv, record_from_summary,
-                               starvation_window, summary_columns,
-                               throughput, write_events_csv)
-from uplinksim.model import ServiceClass, canonical_scenario, make_request
+                               summary_columns, summary_row,
+                               write_events_csv, write_summary_csv)
+from uplinksim.model import (ConfigError, ServiceClass, canonical_scenario,
+                             make_request)
 from test_engine import requests_for, single_cell_scenario
 
 RTPS = ServiceClass.RTPS
@@ -32,22 +33,26 @@ def test_throughput_arithmetic():
               for k in range(10)]
     reqs = [make_request(k, 0, RTPS, 0.0, 1000) for k in range(10)]
     log = synthetic_log(events, reqs, frames=200)  # 1 s at 5 ms frames
-    assert throughput(log, 1.0) == 10_000.0
+    assert compute_metrics(log).throughput_bps == 10_000.0
 
 
 def test_throughput_empty():
-    assert throughput(synthetic_log([]), 1.0) == 0.0
+    assert compute_metrics(synthetic_log([])).throughput_bps == 0.0
 
 
-def test_throughput_duration_contract():
-    with pytest.raises(ValueError):
-        throughput(synthetic_log([]), 0.0)
+def test_throughput_duration_contract(tmp_path):
+    # A reloaded log must span at least one frame of positive duration.
+    path = write_events_csv(synthetic_log([]), str(tmp_path / "empty.csv"))
+    for kwargs in ({}, {"total_frames": 0}, {"total_frames": 10,
+                                             "frame_duration_ms": 0.0}):
+        with pytest.raises(ConfigError, match="duration must be > 0"):
+            load_events_csv(path, **kwargs)
 
 
 def test_delay_single_value():
     r = make_request(0, 0, RTPS, 10.0, 100)
     log = synthetic_log([(4, 25.0, "completion", 0, 0, 0, 100)], [r])
-    stats = end_to_end_delay(log)
+    stats = compute_metrics(log).delay_ms
     assert stats.mean == 15.0
     assert stats.p50 == stats.p95 == stats.max == 15.0
 
@@ -75,7 +80,7 @@ def test_starvation_served_every_frame_small_window():
         events.append((f, (f + 1) * 5.0, "grant", 0, 0, 0, 100))
     r = make_request(0, 0, RTPS, 0.0, 1000)
     log = synthetic_log(events, [r], frames=10)
-    assert starvation_window(log, 0) <= log.frame_duration_ms
+    assert compute_starvation_windows(log)[0] <= log.frame_duration_ms
 
 
 def test_starvation_never_served():
@@ -83,7 +88,7 @@ def test_starvation_never_served():
     r = make_request(0, 0, RTPS, 0.0, 1000)
     log = synthetic_log([(0, 0.0, "arrival", 0, 0, 0, 1000)], [r],
                         frames=100)
-    assert starvation_window(log, 0) == 500.0
+    assert compute_starvation_windows(log)[0] == 500.0
 
 
 def test_starvation_window_resets_on_grant():
@@ -95,7 +100,7 @@ def test_starvation_window_resets_on_grant():
     ]
     r = make_request(0, 0, RTPS, 0.0, 300)
     log = synthetic_log(events, [r], frames=20)
-    assert starvation_window(log, 0) == 15.0
+    assert compute_starvation_windows(log)[0] == 15.0
 
 
 def test_context_switch_recount_matches_engine_events():
@@ -146,7 +151,10 @@ def test_export_overwrite_guard(tmp_path):
 def test_summary_round_trip_exact(tmp_path):
     sc = canonical_scenario(seed=6, scheduler_name="hedf", total_frames=800)
     log, rec = run(sc)
-    events_path, summary_path = export_csv(log, rec, str(tmp_path), "r1")
+    row = summary_row(log.scenario_name, log.policy_name, log.seed, rec,
+                      log.station_ids)
+    summary_path = write_summary_csv([row], log.station_ids,
+                                     str(tmp_path / "r1.summary.csv"))
     rows = parse_summary_csv(summary_path)
     assert len(rows) == 1
     back = record_from_summary(rows[0], log.station_ids)

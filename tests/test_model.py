@@ -2,9 +2,10 @@ import dataclasses
 
 import pytest
 
-from uplinksim.model import (Cell, Scenario, ServiceClass,
+from uplinksim.engine import InvariantError, apply_grant
+from uplinksim.model import (Cell, Grant, Scenario, ServiceClass,
                              SubscriberStation, canonical_scenario,
-                             make_request, remaining_bits, validate_scenario)
+                             make_request, validate_scenario)
 
 
 def test_five_service_classes_distinct():
@@ -27,16 +28,22 @@ def test_deadline_offsets_positive_and_ordered():
     (800, 300, 500),
 ])
 def test_remaining_bits(size, served, expected):
+    # apply_grant accepts at most the bits still owed, and completes the
+    # request with exactly that many.
     r = make_request(0, 0, ServiceClass.RTPS, 0.0, size)
     r.served_bits = served
-    assert remaining_bits(r) == expected
+    with pytest.raises(InvariantError, match=f"{expected} bits remaining"):
+        apply_grant(r, Grant(0, 0, 0, expected + 1))
+    if expected:
+        assert apply_grant(r, Grant(0, 0, 0, expected)) is True
+        assert r.served_bits == size
 
 
 def test_make_request_deadline_law():
     for cls in ServiceClass:
         r = make_request(1, 7, cls, 123.5, 800)
         assert r.deadline == 123.5 + cls.deadline_offset_ms
-        assert not r.complete
+        assert r.served_bits == 0 < r.size_bits
 
 
 def test_canonical_shape():

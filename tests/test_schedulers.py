@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import PolicyHarness
+from conftest import PolicyHarness, edf_select
+from uplinksim.engine import EventLog
+from uplinksim.metrics import count_context_switches
 from uplinksim.model import ServiceClass, make_request
 from uplinksim.schedulers import (POLICY_NAMES, Outcome, claim_value,
-                                  context_switches, edf_select, hedf_decide,
-                                  ssbpf_priority, update_historical_throughput)
+                                  hedf_decide, ssbpf_priority,
+                                  update_historical_throughput)
 
 RTPS = ServiceClass.RTPS
 BE = ServiceClass.BE
@@ -75,46 +77,59 @@ def test_ewma_stays_between_inputs(th, served, alpha):
     assert lo - 1e-6 * hi <= out <= hi + 1e-6 * hi
 
 
-# --- deadline selection -----------------------------------------------------
+# --- EDF order, through the edf policy --------------------------------------
 
-def _req(rid, deadline, arrival=0.0, station=0):
-    r = make_request(rid, station, RTPS, arrival, 100)
-    r.deadline = deadline
-    return r
+def _edf_grant_order(items):
+    """Request ids in the order the edf policy grants them with capacity to
+    spare; items are (id, deadline, arrival) in arrival order."""
+    h = PolicyHarness("edf", n_stations=1, capacity=10_000)
+    for rid, deadline, arrival in items:
+        h.arrive(0, 100, arrival, deadline=deadline, request_id=rid)
+    return [g.request_id for g in h.frame(0)]
 
 
 def test_edf_select_minimum():
-    reqs = [_req(0, 30.0), _req(1, 20.0), _req(2, 25.0)]
-    assert edf_select(reqs, now=0.0).id == 1
+    assert _edf_grant_order([(0, 30.0, 0.0), (1, 20.0, 0.0),
+                             (2, 25.0, 0.0)]) == [1, 2, 0]
 
 
 def test_edf_select_tie_on_arrival():
-    reqs = [_req(0, 20.0, arrival=5.0), _req(1, 20.0, arrival=3.0)]
-    assert edf_select(reqs, now=0.0).id == 1
+    assert _edf_grant_order([(0, 20.0, 5.0), (1, 20.0, 3.0)]) == [1, 0]
 
 
 def test_edf_select_tie_on_id():
-    reqs = [_req(3, 20.0, arrival=5.0), _req(1, 20.0, arrival=5.0)]
-    assert edf_select(reqs, now=0.0).id == 1
+    assert _edf_grant_order([(3, 20.0, 5.0), (1, 20.0, 5.0)]) == [1, 3]
 
 
 def test_edf_select_matches_linear_scan_oracle():
     rng = random.Random(2024)
     for _ in range(20):
-        reqs = [_req(i, rng.randint(0, 50), arrival=rng.randint(0, 20))
-                for i in range(200)]
-        rng.shuffle(reqs)
-        best = reqs[0]
-        for r in reqs[1:]:
-            if (r.deadline, r.arrival_time, r.id) < \
-                    (best.deadline, best.arrival_time, best.id):
-                best = r
-        assert edf_select(reqs, now=0.0) is best
+        h = PolicyHarness("edf", n_stations=1, capacity=10**6)
+        ids = list(range(200))
+        rng.shuffle(ids)
+        reqs = [h.arrive(0, 100, float(rng.randint(0, 20)),
+                         deadline=float(rng.randint(0, 50)), request_id=i)
+                for i in ids]
+        best = edf_select(reqs)
+        granted = [g.request_id for g in h.frame(0)]
+        assert granted[0] == best.id
+        expected = []
+        while reqs:
+            nxt = edf_select(reqs)
+            expected.append(nxt.id)
+            reqs.remove(nxt)
+        assert granted == expected
 
 
 def test_edf_select_empty_rejected():
     with pytest.raises(ValueError):
-        edf_select([], now=0.0)
+        edf_select([])
+    # The edf policy skips dropped requests: with none eligible, no grant.
+    h = PolicyHarness("edf", n_stations=1)
+    r = h.arrive(0, 300, 0.0)
+    r.dropped = True
+    h.policy.on_drop(r)
+    assert h.frame(0) == []
 
 
 # --- claim value and the keep-or-preempt rule -------------------------------
@@ -220,7 +235,7 @@ def test_edf_policy_serves_in_edf_select_order():
     expected = []
     pool = list(live)
     while pool:
-        nxt = edf_select(pool, now=0.0)
+        nxt = edf_select(pool)
         expected.append(nxt.id)
         pool.remove(nxt)
     assert [g.request_id for g in grants] == expected
@@ -266,7 +281,7 @@ def test_hedf_keeps_current_task_when_slack_allows():
     urgent = h.arrive(1, 400, 5.0, RTPS)  # due at 25 ms: plenty of slack
     grants = h.frame(1)
     assert [g.request_id for g in grants] == [big.id, urgent.id]
-    assert big.complete
+    assert big.served_bits == big.size_bits
 
 
 def test_hedf_preempts_when_projection_misses_deadline():
@@ -286,32 +301,38 @@ def test_hedf_current_persists_across_frames():
     for frame in range(3):
         grants = h.frame(frame)
         assert [g.request_id for g in grants] == [r.id]
-    assert r.complete
+    assert r.served_bits == r.size_bits
 
 
 # --- context switch counting ------------------------------------------------
 
-def _count(seq, sizes):
-    cell_of = {0: 0}
-    return context_switches(((0, rid, bits) for rid, bits in seq),
-                            size_of=sizes, cell_of=cell_of)
+def _count(grants, sizes, cell_of=None):
+    """count_context_switches over a log of grant records only; grants are
+    (station, request, bits), one per frame."""
+    cell_of = cell_of or {0: 0}
+    log = EventLog(frame_duration_ms=5.0, total_frames=len(grants),
+                   cell_of_station=cell_of)
+    log.events = [(f, (f + 1) * 5.0, "grant", cell_of[sid], sid, rid, bits)
+                  for f, (sid, rid, bits) in enumerate(grants)]
+    log.requests = {rid: make_request(rid, 0, RTPS, 0.0, size)
+                    for rid, size in sizes.items()}
+    return count_context_switches(log)
 
 
 def test_context_switch_single_request():
-    assert _count([(1, 50), (1, 50)], {1: 100}) == 0
+    assert _count([(0, 1, 50), (0, 1, 50)], {1: 100}) == 0
 
 
 def test_context_switch_sequential_completion():
-    assert _count([(1, 100), (2, 100)], {1: 100, 2: 100}) == 0
+    assert _count([(0, 1, 100), (0, 2, 100)], {1: 100, 2: 100}) == 0
 
 
 def test_context_switch_preemption_counts():
     # A part-served, then B part-served, then A again: two transitions.
-    assert _count([(1, 50), (2, 60), (1, 50)], {1: 100, 2: 100}) == 2
+    assert _count([(0, 1, 50), (0, 2, 60), (0, 1, 50)],
+                  {1: 100, 2: 100}) == 2
 
 
 def test_context_switch_cells_independent():
     grants = [(0, 1, 50), (1, 9, 10), (0, 1, 50)]
-    cell_of = {0: 0, 1: 1}
-    sizes = {1: 100, 9: 100}
-    assert context_switches(iter(grants), sizes, cell_of) == 0
+    assert _count(grants, {1: 100, 9: 100}, cell_of={0: 0, 1: 1}) == 0

@@ -1,6 +1,7 @@
 import pytest
 
-from uplinksim.model import ServiceClass
+from uplinksim import traffic
+from uplinksim.model import ConfigError, ServiceClass
 from uplinksim.traffic import (SplitMix64, TrafficSpec, generate,
                                generate_station, starvation_scenario,
                                stream_rng, validate_spec)
@@ -101,6 +102,17 @@ def test_time_ordered_and_ids_unique():
     ids = [r.id for r in reqs]
     assert len(set(ids)) == len(ids)
     assert all(r.station_id == 4 for r in reqs)
+
+
+def test_station_request_id_overflow_rejected(monkeypatch):
+    # 64 kbit/s of 800-bit packets: one request every 12.5 ms.
+    monkeypatch.setattr(traffic, "IDS_PER_STATION", 10)
+    spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
+                       rate_bits_per_s=64_000.0, packet_size_bits=800)
+    reqs = generate_station((spec,), station_id=1, seed=1, horizon=125.0)
+    assert [r.id for r in reqs] == list(range(10, 20))
+    with pytest.raises(ConfigError, match="traffic_specs\\[1\\]"):
+        generate_station((spec,), station_id=1, seed=1, horizon=125.1)
 
 
 def test_validate_spec_messages():
