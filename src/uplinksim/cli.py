@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple
 import yaml
 
 from .engine import InvariantError, run
-from .metrics import (format_table, load_events_csv, summary_columns,
+from .metrics import (_guard, format_table, load_events_csv, summary_columns,
                       summary_row, write_events_csv, write_summary_csv,
                       compute_metrics)
 from .model import (CLASS_BY_NAME, Cell, ConfigError, Scenario,
@@ -261,19 +261,32 @@ def cmd_run(args) -> int:
     if seeds is None:
         seeds = [base.seed]
 
+    # Every run is validated and every output path checked before the first
+    # file is written, so a refused run leaves --out untouched.
+    runs = [replace(base, seed=seed, scheduler_name=policy)
+            for policy in policies for seed in seeds]
+    for sc in runs:
+        violations = validate_scenario(sc)
+        if violations:
+            raise ConfigError(violations)
+    events_paths = [
+        os.path.join(args.out, f"{sc.name}_{sc.scheduler_name}_seed{sc.seed}"
+                     ".events.csv") for sc in runs]
+    if len(set(events_paths)) < len(events_paths):
+        raise ConfigError(["run: a policy or seed is listed twice"])
+    summary_path = os.path.join(args.out, "summary.csv")
+    for path in events_paths + [summary_path]:
+        _guard(path, args.force)
+
     os.makedirs(args.out, exist_ok=True)
     rows = []
     station_ids = [s.id for s in base.stations]
-    for policy in policies:
-        for seed in seeds:
-            sc = replace(base, seed=seed, scheduler_name=policy)
-            log, rec = run(sc)
-            events_path = os.path.join(
-                args.out, f"{sc.name}_{policy}_seed{seed}.events.csv")
-            write_events_csv(log, events_path, force=args.force)
-            rows.append(summary_row(sc.name, policy, seed, rec, station_ids))
-            print(f"wrote {events_path}")
-    summary_path = os.path.join(args.out, "summary.csv")
+    for sc, events_path in zip(runs, events_paths):
+        log, rec = run(sc)
+        write_events_csv(log, events_path, force=args.force)
+        rows.append(summary_row(sc.name, sc.scheduler_name, sc.seed, rec,
+                                station_ids))
+        print(f"wrote {events_path}")
     write_summary_csv(rows, station_ids, summary_path, force=args.force)
     print(f"wrote {summary_path}")
 

@@ -1,8 +1,9 @@
 """Deterministic frame-stepped simulation loop.
 
-Each frame, in order: (1) inject the arrivals whose time falls inside the
-frame (at the frame start, so a request can be served in its arrival frame),
-(2) let every cell's policy allocate its capacity, (3) apply the grants,
+Each frame, in order: (1) hand the arrivals whose time falls inside the
+frame to their cell's policy (at the frame start, so a request can be served
+in its arrival frame), (2) let every policy grant its cell's capacity as
+``(request, bits)`` pairs, (3) apply the grants,
 (4) record completions and deadline misses at the closing frame boundary,
 (5) fold the frame's served bits into each station's smoothed throughput.
 
@@ -13,7 +14,7 @@ Deadline-miss rule: at the first closing boundary strictly past its
 deadline, a request that did not complete at or before the deadline is
 logged once as a deadline_miss. A deadline exactly on a boundary is still
 pending at that boundary. Missed requests stay queued and are served late,
-unless the scenario sets ``drop_on_miss``.
+unless the scenario sets ``drop_on_miss``, which marks them dropped.
 
 Event records are 7-tuples ``(frame, time_ms, event, cell, station, request,
 bits)``. Arrivals carry their true arrival time; grant, completion,
@@ -33,7 +34,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .model import (ConfigError, Grant, Request, Scenario, SubscriberStation,
+from .model import (ConfigError, Request, Scenario, SubscriberStation,
                     validate_scenario)
 from .schedulers import make_policy, update_historical_throughput
 from .traffic import build_requests
@@ -57,7 +58,6 @@ class EventLog:
     seed: int = 0
     drop_on_miss: bool = False
     station_ids: List[int] = field(default_factory=list)
-    cell_of_station: Dict[int, int] = field(default_factory=dict)
     cell_capacity: Dict[int, int] = field(default_factory=dict)
     events: List[tuple] = field(default_factory=list)
     # Request objects by id; for logs reloaded from CSV this holds the
@@ -74,24 +74,19 @@ class EventLog:
         return (e for e in self.events if e[2] == event_type)
 
 
-def apply_grant(r: Request, g: Grant) -> bool:
-    """Advance a request by one grant; True when it completes.
+def apply_grant(r: Request, bits: int) -> bool:
+    """Advance a request by one grant of ``bits``; True when it completes.
 
-    Over-grants abort the run: a policy that emits one is buggy and
-    continuing would corrupt every downstream metric.
+    Over-grants and grants to dropped requests abort the run: a policy that
+    emits one is buggy and continuing would corrupt every downstream metric.
     """
     rem = r.size_bits - r.served_bits
-    if g.granted_bits <= 0 or g.granted_bits > rem:
+    if bits <= 0 or bits > rem:
         raise InvariantError(
-            f"grant of {g.granted_bits} bits to request {r.id} with "
-            f"{rem} bits remaining (frame {g.frame_index})")
+            f"grant of {bits} bits to request {r.id} with {rem} bits remaining")
     if r.dropped:
         raise InvariantError(f"grant to dropped request {r.id}")
-    if g.station_id != r.station_id:
-        raise InvariantError(
-            f"grant routed to station {g.station_id} for request {r.id} "
-            f"of station {r.station_id}")
-    r.served_bits += g.granted_bits
+    r.served_bits += bits
     return r.served_bits == r.size_bits
 
 
@@ -112,11 +107,9 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
         seed=scenario.seed,
         drop_on_miss=scenario.drop_on_miss,
         station_ids=[s.id for s in stations],
-        cell_of_station=dict(cell_of),
         cell_capacity={c.id: c.base_station_capacity for c in cells},
     )
     ev = log.events.append
-    req_index = log.requests
 
     buckets: List[List[Request]] = [[] for _ in range(n_frames)]
     for r in requests:
@@ -142,12 +135,10 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
         boundary = now + delta
 
         for r in buckets[f]:
-            st = by_id[r.station_id]
-            st.queue.append(r)
-            req_index[r.id] = r
+            log.requests[r.id] = r
             policy_of_station[r.station_id].on_arrival(r)
-            ev((f, r.arrival_time, "arrival", st.cell_id, r.station_id,
-                r.id, r.size_bits))
+            ev((f, r.arrival_time, "arrival", cell_of[r.station_id],
+                r.station_id, r.id, r.size_bits))
             heapq.heappush(miss_heap, (r.deadline, r.id, r))
 
         for cell in cells:
@@ -157,29 +148,22 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                 continue
             total = 0
             cid = cell.id
-            for g in grants:
-                r = req_index[g.request_id]
-                total += g.granted_bits
+            for r, bits in grants:
+                total += bits
                 prev = prev_grant.get(cid)
                 if prev is not None and prev[0] is not r and prev[1]:
                     p = prev[0]
                     ev((f, boundary, "context_switch", cid, p.station_id,
                         p.id, 0))
-                done = apply_grant(r, g)
+                done = apply_grant(r, bits)
                 served_frame[r.station_id] = (
-                    served_frame.get(r.station_id, 0) + g.granted_bits)
-                ev((f, boundary, "grant", cid, g.station_id, r.id,
-                    g.granted_bits))
+                    served_frame.get(r.station_id, 0) + bits)
+                ev((f, boundary, "grant", cid, r.station_id, r.id, bits))
                 prev_grant[cid] = (r, not done)
                 if done:
                     completed_at[r.id] = boundary
                     ev((f, boundary, "completion", cid, r.station_id, r.id,
                         r.size_bits))
-                    q = by_id[r.station_id].queue
-                    if q and q[0] is r:
-                        q.popleft()
-                    else:
-                        q.remove(r)
             if total > cell.base_station_capacity:
                 raise InvariantError(
                     f"cell {cid} granted {total} bits in frame {f}, "
@@ -195,12 +179,6 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                 r.station_id, r.id, rem))
             if drop and rem > 0:
                 r.dropped = True
-                q = by_id[r.station_id].queue
-                if q and q[0] is r:
-                    q.popleft()
-                else:
-                    q.remove(r)
-                policy_of_station[r.station_id].on_drop(r)
 
         for st in stations:
             st.historical_throughput = update_historical_throughput(

@@ -349,11 +349,9 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
         frame_duration_ms=delta,
         total_frames=total_frames,
         scenario_name=os.path.basename(path),
+        station_ids=sorted({e[4] for e in events}),
         events=events,
     )
-    stations = sorted({e[4] for e in events})
-    log.station_ids = stations
-    log.cell_of_station = {e[4]: e[3] for e in events}
     for e in events:
         if e[2] == "arrival":
             log.requests[e[5]] = ReqInfo(

@@ -2,8 +2,9 @@
 
 A base station (one per cell) owns a pool of uplink capacity, expressed in
 bits per frame, and hands it out to subscriber stations as per-frame grants.
-Subscriber stations queue deadline-tagged bandwidth requests; scheduling
-policies decide which requests are served each frame.
+Subscriber stations send deadline-tagged bandwidth requests; each cell's
+scheduling policy keeps the waiting requests in its own queues and decides
+which are served each frame (see ``schedulers``).
 
 Everything here is a plain value type. All mutation happens inside the
 single-threaded engine loop.
@@ -11,10 +12,9 @@ single-threaded engine loop.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoids a circular import; TrafficSpec lives in traffic.py
     from .traffic import TrafficSpec
@@ -90,7 +90,7 @@ def make_request(req_id: int, station_id: int, service_class: ServiceClass,
 
 @dataclass(slots=True)
 class SubscriberStation:
-    """A client node queuing requests toward its cell's base station.
+    """A client node sending requests to its cell's base station.
 
     ``capacity_c`` is the station's transmission capacity in bits per frame;
     it feeds the proportional-fairness priority and service-time estimates.
@@ -102,7 +102,6 @@ class SubscriberStation:
     cell_id: int
     capacity_c: int
     historical_throughput: float = 0.0
-    queue: Deque[Request] = field(default_factory=deque)
     wrr_weight: Optional[int] = None
 
 
@@ -113,16 +112,6 @@ class Cell:
     id: int
     base_station_capacity: int
     station_ids: List[int] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class Grant:
-    """An allocation of frame capacity to one request in one frame."""
-
-    frame_index: int
-    station_id: int
-    request_id: int
-    granted_bits: int
 
 
 @dataclass
@@ -151,7 +140,7 @@ class Scenario:
 
     def fresh_stations(self) -> List[SubscriberStation]:
         """Per-run copies so a run never mutates the scenario itself."""
-        return [replace(s, queue=deque()) for s in self.stations]
+        return [replace(s) for s in self.stations]
 
 
 # Canonical topology: 7 cells, 2 stations each, one base station per cell.

@@ -1,14 +1,13 @@
 """Uplink scheduling policies.
 
-Each policy maps (frame state, station queues, capacity) to a list of grants.
-A policy instance is owned by exactly one cell of one run and may keep state
-across frames (round-robin pointers, the sticky current task of the
-heuristic policy, per-station deadline heaps). The engine feeds arrivals in
-via :meth:`SchedulerPolicy.on_arrival`, applies the returned grants, and
-updates the per-station smoothed throughput after every frame.
-
-Policies never mutate requests or stations; they only read them and emit
-grants. Within one frame a request receives at most one grant.
+A policy instance is owned by exactly one cell of one run and owns that
+cell's request queues. The engine hands it every arrival through
+:meth:`SchedulerPolicy.on_arrival`; each frame, ``allocate_frame`` returns
+the grants as ``(request, bits)`` pairs, which the engine applies. A queue
+keeps a request until all of its bits are granted, and discards a request
+the engine dropped (drop-on-miss) when it next reaches it. Policies never
+mutate requests or stations, may keep state across frames, and give a
+request at most one grant per frame.
 
 The five policies:
 
@@ -31,11 +30,12 @@ The five policies:
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from .model import Cell, Grant, Request, SubscriberStation
+from .model import Cell, Request, SubscriberStation
 
 
 def ssbpf_priority(capacity_c: float, historical_throughput: float) -> float:
@@ -94,6 +94,8 @@ def hedf_decide(mu: float, next_deadline: float) -> SchedulerDecision:
 # the lower id. Heap entries are (deadline, arrival_time, id, request);
 # unique ids make the tuple ordering total.
 _HeapEntry = Tuple[float, float, int, Request]
+# allocate_frame's result: (request, granted bits) in grant order.
+Grants = List[Tuple[Request, int]]
 
 
 def _entry(r: Request) -> _HeapEntry:
@@ -112,13 +114,10 @@ class SchedulerPolicy:
         self.frame_duration_ms = frame_duration_ms
 
     def on_arrival(self, request: Request) -> None:
-        """Called by the engine when a request joins its station queue."""
-
-    def on_drop(self, request: Request) -> None:
-        """Called by the engine when a request is dropped (drop-on-miss)."""
+        """Called by the engine when a request of this cell arrives."""
 
     def allocate_frame(self, frame: int, now: float,
-                       capacity: int) -> List[Grant]:
+                       capacity: int) -> Grants:
         raise NotImplementedError
 
 
@@ -131,43 +130,41 @@ class RoundRobinPolicy(SchedulerPolicy):
         super().__init__(cell, stations, frame_duration_ms)
         self._order = list(cell.station_ids)
         self._ptr = 0
+        self._queues: Dict[int, Deque[Request]] = {
+            sid: deque() for sid in self._order}
+
+    def on_arrival(self, request: Request) -> None:
+        self._queues[request.station_id].append(request)
 
     def _shares(self, sid: int) -> int:
         return 1
 
     def allocate_frame(self, frame: int, now: float,
-                       capacity: int) -> List[Grant]:
-        grants: List[Grant] = []
+                       capacity: int) -> Grants:
+        grants: Grants = []
         cap = capacity
-        # Bits already granted this frame, per request id: queues are only
-        # updated by the engine after we return.
-        local: Dict[int, int] = {}
         n = len(self._order)
         idle_passes = 0
         while cap > 0 and idle_passes < n:
             sid = self._order[self._ptr]
-            queue = self.stations[sid].queue
+            queue = self._queues[sid]
             served_any = False
-            interrupted = False
             shares = self._shares(sid)
-            for r in queue:
-                if shares == 0 or cap == 0:
-                    break
-                rem = r.size_bits - r.served_bits - local.get(r.id, 0)
-                if rem <= 0 or r.dropped:
+            while queue and shares and cap:
+                r = queue[0]
+                if r.dropped:
+                    queue.popleft()
                     continue
+                rem = r.size_bits - r.served_bits
                 g = min(rem, cap)
-                grants.append(Grant(frame, sid, r.id, g))
-                local[r.id] = local.get(r.id, 0) + g
+                grants.append((r, g))
                 cap -= g
                 served_any = True
                 shares -= 1
                 if g < rem:
-                    interrupted = True
-                    break
-            if interrupted:
-                # Capacity ran out mid-request: resume this station next frame.
-                break
+                    # Capacity ran out mid-request: resume here next frame.
+                    return grants
+                queue.popleft()
             self._ptr = (self._ptr + 1) % n
             idle_passes = 0 if served_any else idle_passes + 1
         return grants
@@ -213,8 +210,8 @@ class EarliestDeadlineFirstPolicy(SchedulerPolicy):
         heapq.heappush(self._heap, _entry(request))
 
     def allocate_frame(self, frame: int, now: float,
-                       capacity: int) -> List[Grant]:
-        grants: List[Grant] = []
+                       capacity: int) -> Grants:
+        grants: Grants = []
         cap = capacity
         heap = self._heap
         while cap > 0 and heap:
@@ -224,7 +221,7 @@ class EarliestDeadlineFirstPolicy(SchedulerPolicy):
                 heapq.heappop(heap)
                 continue
             g = min(rem, cap)
-            grants.append(Grant(frame, r.station_id, r.id, g))
+            grants.append((r, g))
             cap -= g
             if g == rem:
                 heapq.heappop(heap)  # completes once the engine applies it
@@ -261,17 +258,16 @@ class _StationHeapPolicy(SchedulerPolicy):
         return None
 
     def _ranked_stations(self) -> List[int]:
-        """Backlogged stations in descending fairness priority; ties go to
-        the lower station id. Priority values are constant within a frame
-        (the throughput EWMA only moves at frame end), but the backlog
-        filter changes as requests drain."""
+        """The cell's stations in descending fairness priority; ties go to
+        the lower station id. Priorities only move at frame end (the
+        throughput EWMA), so one ranking serves a whole frame; callers skip
+        stations whose head is None."""
         ranked = []
         for sid in self.cell.station_ids:
-            if self._head(sid) is not None:
-                st = self.stations[sid]
-                ranked.append(
-                    (-ssbpf_priority(st.capacity_c, st.historical_throughput),
-                     sid))
+            st = self.stations[sid]
+            ranked.append(
+                (-ssbpf_priority(st.capacity_c, st.historical_throughput),
+                 sid))
         ranked.sort()
         return [sid for _, sid in ranked]
 
@@ -291,8 +287,8 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
     name = "ssbpf_edf"
 
     def allocate_frame(self, frame: int, now: float,
-                       capacity: int) -> List[Grant]:
-        grants: List[Grant] = []
+                       capacity: int) -> Grants:
+        grants: Grants = []
         cap = capacity
         for sid in self._ranked_stations():
             heap = self._heaps[sid]
@@ -302,7 +298,7 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
                     break
                 rem = r.size_bits - r.served_bits
                 g = min(rem, cap)
-                grants.append(Grant(frame, sid, r.id, g))
+                grants.append((r, g))
                 cap -= g
                 if g == rem:
                     heapq.heappop(heap)
@@ -347,16 +343,16 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
         return None
 
     def allocate_frame(self, frame: int, now: float,
-                       capacity: int) -> List[Grant]:
-        grants: List[Grant] = []
+                       capacity: int) -> Grants:
+        grants: Grants = []
         cap = capacity
         self._done.clear()
+        ranked = self._ranked_stations()
         while cap > 0:
             cur = self._current
             if cur is not None and (cur.dropped
                                     or cur.served_bits >= cur.size_bits):
                 cur = self._current = None
-            ranked = self._ranked_stations()
             if cur is None:
                 cur = self._candidate(ranked, None)
                 if cur is None:
@@ -378,7 +374,7 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
                         cur = self._current = cand
             rem = cur.size_bits - cur.served_bits
             g = min(rem, cap)
-            grants.append(Grant(frame, cur.station_id, cur.id, g))
+            grants.append((cur, g))
             cap -= g
             if g == rem:
                 self._done.add(cur.id)

@@ -4,9 +4,9 @@ oracle."""
 
 from typing import Dict, List, Optional, Sequence
 
-from uplinksim.model import (Cell, Grant, Request, ServiceClass,
-                             SubscriberStation, make_request)
-from uplinksim.schedulers import SchedulerPolicy, make_policy
+from uplinksim.model import (Cell, Request, ServiceClass, SubscriberStation,
+                             make_request)
+from uplinksim.schedulers import Grants, SchedulerPolicy, make_policy
 
 
 def edf_select(candidates: Sequence[Request]) -> Request:
@@ -53,24 +53,21 @@ class PolicyHarness:
             r.deadline = deadline
         self._next_id = max(self._next_id, request_id) + 1
         self.requests[r.id] = r
-        self.stations[station_id].queue.append(r)
         self.policy.on_arrival(r)
         return r
 
     def backlog(self) -> int:
         return sum(r.size_bits - r.served_bits
-                   for st in self.stations.values() for r in st.queue)
+                   for r in self.requests.values() if not r.dropped)
 
     def frame(self, frame_index: int,
-              capacity: Optional[int] = None) -> List[Grant]:
+              capacity: Optional[int] = None) -> Grants:
         cap = self.capacity if capacity is None else capacity
         now = frame_index * self.frame_ms
         grants = self.policy.allocate_frame(frame_index, now, cap)
-        assert sum(g.granted_bits for g in grants) <= cap
-        for g in grants:
-            r = self.requests[g.request_id]
-            assert 0 < g.granted_bits <= r.size_bits - r.served_bits
-            r.served_bits += g.granted_bits
-            if r.served_bits == r.size_bits:
-                self.stations[r.station_id].queue.remove(r)
+        assert sum(bits for _, bits in grants) <= cap
+        for r, bits in grants:
+            assert self.requests[r.id] is r and not r.dropped
+            assert 0 < bits <= r.size_bits - r.served_bits
+            r.served_bits += bits
         return grants

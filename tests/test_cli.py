@@ -96,6 +96,29 @@ def test_overwrite_without_force_exit_3_and_force_identical(tmp_path):
     assert open(events, "rb").read() == first
 
 
+@pytest.mark.parametrize("seeds", ["1,99999999999999999999999", "1,1"])
+def test_run_invalid_seed_writes_nothing(tmp_path, seeds):
+    # A second seed that does not fit in 64 bits, or repeats the first, is
+    # refused before the first events CSV is written.
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["run", "--scenario", "canonical", "--policy", "edf",
+               "--seed", seeds, "--frames", "50", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert os.listdir(out) == []
+
+
+def test_run_stale_summary_without_force_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.csv").write_text("stale\n")
+    rc = main(["run", "--scenario", "canonical", "--policy", "edf,rr",
+               "--seed", "1", "--frames", "50", "--out", str(out)])
+    assert rc == EXIT_IO
+    assert os.listdir(out) == ["summary.csv"]
+    assert (out / "summary.csv").read_text() == "stale\n"
+
+
 def test_validate_builtin_ok(capsys):
     assert main(["validate", "canonical"]) == EXIT_OK
     doc = yaml.safe_load(capsys.readouterr().out)

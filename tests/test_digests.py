@@ -44,8 +44,14 @@ PINS = {
     ("starvation", "hedf", 1): "65a5ce22200c4e838544af739dc91f4fcd33e92c65ab6976748b53ea3ad06df3",
     ("starvation", "hedf", 2): "65a5ce22200c4e838544af739dc91f4fcd33e92c65ab6976748b53ea3ad06df3",
 }
-# starvation x hedf, seed 1, with drop_on_miss on.
-DROP_ON_MISS_PIN = "87ea183181ea6168351af32411c82ac092c3242ba8dac46b0b0f53b86c3cdbf0"
+# starvation, seed 1, with drop_on_miss on: every policy's drop path.
+DROP_ON_MISS_PINS = {
+    "rr": "a579451247448110fc2b4838467ed155546ef754eb39765d83264b18a42efc8a",
+    "wrr": "a579451247448110fc2b4838467ed155546ef754eb39765d83264b18a42efc8a",
+    "edf": "94402acf8f878c2b8c34f10ad1ae7a851b8d794583a03f0c65ae36531421cd55",
+    "ssbpf_edf": "a579451247448110fc2b4838467ed155546ef754eb39765d83264b18a42efc8a",
+    "hedf": "87ea183181ea6168351af32411c82ac092c3242ba8dac46b0b0f53b86c3cdbf0",
+}
 
 
 def events_digest(sc, tmp_path) -> str:
@@ -62,7 +68,8 @@ def test_event_csv_digest(tmp_path, scenario, policy, seed):
     assert events_digest(sc, tmp_path) == PINS[scenario, policy, seed]
 
 
-def test_event_csv_digest_drop_on_miss(tmp_path):
-    sc = replace(starvation_scenario(seed=1, scheduler_name="hedf",
+@pytest.mark.parametrize("policy", sorted(DROP_ON_MISS_PINS))
+def test_event_csv_digest_drop_on_miss(tmp_path, policy):
+    sc = replace(starvation_scenario(seed=1, scheduler_name=policy,
                                      total_frames=FRAMES), drop_on_miss=True)
-    assert events_digest(sc, tmp_path) == DROP_ON_MISS_PIN
+    assert events_digest(sc, tmp_path) == DROP_ON_MISS_PINS[policy]

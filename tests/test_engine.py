@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from uplinksim.engine import InvariantError, apply_grant, run, simulate
-from uplinksim.model import (Cell, ConfigError, Grant, Scenario, ServiceClass,
+from uplinksim.model import (Cell, ConfigError, Scenario, ServiceClass,
                              SubscriberStation, canonical_scenario,
                              make_request)
 from uplinksim.schedulers import update_historical_throughput
@@ -92,18 +92,18 @@ def test_mid_frame_arrival_served_same_frame():
 
 def test_apply_grant_completion_and_partial():
     r = make_request(0, 0, RTPS, 0.0, 500)
-    assert apply_grant(r, Grant(0, 0, 0, 200)) is False
+    assert apply_grant(r, 200) is False
     assert r.served_bits == 200
-    assert apply_grant(r, Grant(1, 0, 0, 300)) is True
+    assert apply_grant(r, 300) is True
     assert r.served_bits == r.size_bits
 
 
 def test_apply_grant_over_grant_aborts():
     r = make_request(0, 0, RTPS, 0.0, 500)
     with pytest.raises(InvariantError):
-        apply_grant(r, Grant(0, 0, 0, 501))
+        apply_grant(r, 501)
     with pytest.raises(InvariantError):
-        apply_grant(r, Grant(0, 0, 0, 0))
+        apply_grant(r, 0)
 
 
 def test_deadline_policy_boundaries():

@@ -20,8 +20,7 @@ BE = ServiceClass.BE
 def synthetic_log(events, requests=(), frames=200, frame_ms=5.0,
                   stations=(0,)):
     log = EventLog(frame_duration_ms=frame_ms, total_frames=frames,
-                   station_ids=list(stations),
-                   cell_of_station={s: 0 for s in stations})
+                   station_ids=list(stations))
     log.events = list(events)
     for r in requests:
         log.requests[r.id] = r

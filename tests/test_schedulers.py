@@ -85,7 +85,7 @@ def _edf_grant_order(items):
     h = PolicyHarness("edf", n_stations=1, capacity=10_000)
     for rid, deadline, arrival in items:
         h.arrive(0, 100, arrival, deadline=deadline, request_id=rid)
-    return [g.request_id for g in h.frame(0)]
+    return [r.id for r, _ in h.frame(0)]
 
 
 def test_edf_select_minimum():
@@ -111,7 +111,7 @@ def test_edf_select_matches_linear_scan_oracle():
                          deadline=float(rng.randint(0, 50)), request_id=i)
                 for i in ids]
         best = edf_select(reqs)
-        granted = [g.request_id for g in h.frame(0)]
+        granted = [r.id for r, _ in h.frame(0)]
         assert granted[0] == best.id
         expected = []
         while reqs:
@@ -128,7 +128,6 @@ def test_edf_select_empty_rejected():
     h = PolicyHarness("edf", n_stations=1)
     r = h.arrive(0, 300, 0.0)
     r.dropped = True
-    h.policy.on_drop(r)
     assert h.frame(0) == []
 
 
@@ -183,7 +182,7 @@ def test_underload_single_request(policy):
     h.arrive(0, 300, 0.0)
     grants = h.frame(0)
     assert len(grants) == 1
-    assert grants[0].granted_bits == 300
+    assert grants[0][1] == 300
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -198,7 +197,7 @@ def test_work_conservation_random_frames(policy):
                 cls = rng.choice([RTPS, BE])
                 h.arrive(sid, rng.randint(50, 900), now, cls)
         backlog = h.backlog()
-        granted = sum(g.granted_bits for g in h.frame(frame))
+        granted = sum(bits for _, bits in h.frame(frame))
         assert granted == min(backlog, 1000)
     assert h.backlog() >= 0
 
@@ -215,8 +214,8 @@ def test_policy_determinism(policy):
                 if rng.random() < 0.4:
                     h.arrive(sid, rng.randint(100, 1200), now,
                              rng.choice([RTPS, BE]))
-            out.extend((g.frame_index, g.station_id, g.request_id,
-                        g.granted_bits) for g in h.frame(frame))
+            out.extend((frame, r.station_id, r.id, bits)
+                       for r, bits in h.frame(frame))
         return out
 
     assert trace() == trace()
@@ -238,7 +237,7 @@ def test_edf_policy_serves_in_edf_select_order():
         nxt = edf_select(pool)
         expected.append(nxt.id)
         pool.remove(nxt)
-    assert [g.request_id for g in grants] == expected
+    assert [r.id for r, _ in grants] == expected
 
 
 def test_rr_cycles_stations():
@@ -247,9 +246,24 @@ def test_rr_cycles_stations():
         for _ in range(2):
             h.arrive(sid, 100, 0.0)
     grants = h.frame(0)
-    assert [g.station_id for g in grants] == [0, 1, 2]
+    assert [r.station_id for r, _ in grants] == [0, 1, 2]
     grants = h.frame(1)  # pointer resumes after station 2
-    assert [g.station_id for g in grants] == [0, 1, 2]
+    assert [r.station_id for r, _ in grants] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("policy", ["rr", "wrr"])
+def test_rr_discards_dropped_request_behind_partial_head(policy):
+    h = PolicyHarness(policy, n_stations=1, capacity=300)
+    head = h.arrive(0, 500, 0.0)
+    dropped = h.arrive(0, 200, 0.0)
+    behind = h.arrive(0, 100, 0.0)
+    assert h.frame(0) == [(head, 300)]
+    dropped.dropped = True
+    assert h.frame(1) == [(head, 200), (behind, 100)]
+    assert h.frame(2) == []
+    assert dropped.served_bits == 0
+    assert head.served_bits == head.size_bits
+    assert behind.served_bits == behind.size_bits
 
 
 def test_wrr_default_weights_follow_capacity():
@@ -260,7 +274,7 @@ def test_wrr_default_weights_follow_capacity():
             h.arrive(sid, 100, 0.0)
     grants = h.frame(0)
     # Station 0 carries weight 2, station 1 weight 1.
-    assert [g.station_id for g in grants] == [0, 0, 1, 0, 0, 1]
+    assert [r.station_id for r, _ in grants] == [0, 0, 1, 0, 0, 1]
 
 
 def test_ssbpf_lightly_served_station_goes_first():
@@ -270,8 +284,8 @@ def test_ssbpf_lightly_served_station_goes_first():
     h.arrive(0, 300, 0.0)
     h.arrive(1, 300, 0.0)
     grants = h.frame(0)
-    assert [g.station_id for g in grants] == [1, 0]
-    assert [g.granted_bits for g in grants] == [300, 100]
+    assert [r.station_id for r, _ in grants] == [1, 0]
+    assert [bits for _, bits in grants] == [300, 100]
 
 
 def test_hedf_keeps_current_task_when_slack_allows():
@@ -280,7 +294,7 @@ def test_hedf_keeps_current_task_when_slack_allows():
     h.frame(0)  # big is now current, partially served
     urgent = h.arrive(1, 400, 5.0, RTPS)  # due at 25 ms: plenty of slack
     grants = h.frame(1)
-    assert [g.request_id for g in grants] == [big.id, urgent.id]
+    assert [r.id for r, _ in grants] == [big.id, urgent.id]
     assert big.served_bits == big.size_bits
 
 
@@ -291,8 +305,8 @@ def test_hedf_preempts_when_projection_misses_deadline():
     urgent = h.arrive(1, 400, 5.0, RTPS, deadline=12.0)
     # Projection: 2 ms burst + 20 ms of current remainder + now 5 > 12.
     grants = h.frame(1)
-    assert grants[0].request_id == urgent.id
-    assert grants[1].request_id == big.id
+    assert grants[0][0] is urgent
+    assert grants[1][0] is big
 
 
 def test_hedf_current_persists_across_frames():
@@ -300,7 +314,7 @@ def test_hedf_current_persists_across_frames():
     r = h.arrive(0, 3000, 0.0, BE)
     for frame in range(3):
         grants = h.frame(frame)
-        assert [g.request_id for g in grants] == [r.id]
+        assert [g[0].id for g in grants] == [r.id]
     assert r.served_bits == r.size_bits
 
 
@@ -310,8 +324,7 @@ def _count(grants, sizes, cell_of=None):
     """count_context_switches over a log of grant records only; grants are
     (station, request, bits), one per frame."""
     cell_of = cell_of or {0: 0}
-    log = EventLog(frame_duration_ms=5.0, total_frames=len(grants),
-                   cell_of_station=cell_of)
+    log = EventLog(frame_duration_ms=5.0, total_frames=len(grants))
     log.events = [(f, (f + 1) * 5.0, "grant", cell_of[sid], sid, rid, bits)
                   for f, (sid, rid, bits) in enumerate(grants)]
     log.requests = {rid: make_request(rid, 0, RTPS, 0.0, size)
