@@ -12,7 +12,8 @@ Subcommands::
 per-event CSV per run plus a combined ``summary.csv``, and prints the summary
 table. ``validate`` checks a config without running and prints the resolved
 effective configuration. ``report`` recomputes global metrics from existing
-per-event CSVs, refusing (exit 2) stamps that contradict the frame duration.
+per-event CSVs, refusing (exit 2) stamps that contradict the frame duration
+and rows out of frame order. Both hold one event log in memory at a time.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal
 invariant breach.
@@ -59,9 +60,9 @@ from typing import Dict, List, Optional, Tuple
 import yaml
 
 from .engine import InvariantError, run
-from .metrics import (_guard, format_table, load_events_csv, summary_columns,
-                      summary_row, write_events_csv, write_summary_csv,
-                      compute_metrics)
+from .metrics import (MetricsRecord, _guard, compute_metrics, format_table,
+                      load_events_csv, summary_columns, summary_row,
+                      write_events_csv, write_summary_csv)
 from .model import (CLASS_BY_NAME, Cell, ConfigError, Scenario,
                     SubscriberStation, canonical_scenario, validate_scenario)
 from .schedulers import POLICY_NAMES
@@ -245,9 +246,26 @@ def _parse_list(value: str) -> List[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+def _parse_seeds(value: str) -> List[int]:
+    try:
+        return [int(s) for s in _parse_list(value)]
+    except ValueError:
+        raise ConfigError([f"seed: expected a comma list of integers, "
+                           f"got {value!r}"]) from None
+
+
+def _run_to_csv(sc: Scenario, events_path: str, force: bool,
+                station_ids: List[int]) -> List:
+    """Run one scenario and write its events; only the summary row outlives
+    the call, so one event log is held at a time."""
+    log, rec = run(sc)
+    write_events_csv(log, events_path, force=force)
+    return summary_row(sc.name, sc.scheduler_name, sc.seed, rec, station_ids)
+
+
 def cmd_run(args) -> int:
     policies = _parse_list(args.policy) if args.policy else None
-    seeds = [int(s) for s in _parse_list(args.seed)] if args.seed else None
+    seeds = _parse_seeds(args.seed) if args.seed else None
     if policies:
         unknown = [p for p in policies if p not in POLICY_NAMES]
         if unknown:
@@ -282,10 +300,7 @@ def cmd_run(args) -> int:
     rows = []
     station_ids = [s.id for s in base.stations]
     for sc, events_path in zip(runs, events_paths):
-        log, rec = run(sc)
-        write_events_csv(log, events_path, force=args.force)
-        rows.append(summary_row(sc.name, sc.scheduler_name, sc.seed, rec,
-                                station_ids))
+        rows.append(_run_to_csv(sc, events_path, args.force, station_ids))
         print(f"wrote {events_path}")
     write_summary_csv(rows, station_ids, summary_path, force=args.force)
     print(f"wrote {summary_path}")
@@ -309,27 +324,35 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _reload_metrics(path: str, frame_duration_ms: float,
+                    total_frames: Optional[int]
+                    ) -> Tuple[MetricsRecord, List[int]]:
+    """Reload one events CSV and summarise it; only the record and station
+    ids outlive the call, so one event log is held at a time."""
+    if not os.path.exists(path):
+        raise ConfigError([f"report: no such file {path}"])
+    log = load_events_csv(path, frame_duration_ms=frame_duration_ms,
+                          total_frames=total_frames)
+    return compute_metrics(log), log.station_ids
+
+
 def cmd_report(args) -> int:
     rows = []
     station_ids: List[int] = []
     for path in args.events:
-        if not os.path.exists(path):
-            raise ConfigError([f"report: no such file {path}"])
-        log = load_events_csv(path, frame_duration_ms=args.frame_duration_ms,
-                              total_frames=args.frames)
-        rec = compute_metrics(log)
-        station_ids = sorted(set(station_ids) | set(log.station_ids))
-        rows.append((os.path.basename(path), rec, log.station_ids))
+        rec, ids = _reload_metrics(path, args.frame_duration_ms, args.frames)
+        station_ids = sorted(set(station_ids) | set(ids))
+        rows.append((os.path.basename(path), rec))
     head = ["file", "throughput_bps", "delay_mean_ms", "delay_p95_ms",
             "deadline_miss_ratio", "context_switch_count"]
     table = [[name, rec.throughput_bps, rec.delay_ms.mean, rec.delay_ms.p95,
               rec.deadline_miss_ratio, rec.context_switch_count]
-             for name, rec, _ in rows]
+             for name, rec in rows]
     print(format_table(head, table))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         out_rows = [summary_row(name, "", 0, rec, station_ids)
-                    for name, rec, _ in rows]
+                    for name, rec in rows]
         path = os.path.join(args.out, "report_summary.csv")
         write_summary_csv(out_rows, station_ids, path, force=args.force)
         print(f"wrote {path}")

@@ -24,9 +24,10 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .engine import EventLog
+from .engine import EVENT_TYPES, EventLog
 from .model import ConfigError, ServiceClass
 
 CLASS_ORDER = [c.value for c in ServiceClass]
@@ -81,46 +82,54 @@ def compute_starvation_windows(log: EventLog) -> Dict[int, float]:
 
     Frame-granular: a frame counts toward a window when the station holds
     unserved bits after that frame's arrivals and ends the frame without a
-    single granted bit.
-    """
-    arrived: Dict[int, Dict[int, int]] = {sid: {} for sid in log.station_ids}
-    removed: Dict[int, Dict[int, int]] = {sid: {} for sid in log.station_ids}
-    granted_in: Dict[int, set] = {sid: set() for sid in log.station_ids}
-    for e in log.events:
-        kind = e[2]
-        sid = e[4]
-        frame = e[0]
-        if kind == "arrival":
-            d = arrived[sid]
-            d[frame] = d.get(frame, 0) + e[6]
-        elif kind == "grant":
-            d = removed[sid]
-            d[frame] = d.get(frame, 0) + e[6]
-            granted_in[sid].add(frame)
-        elif kind == "deadline_miss" and log.drop_on_miss and e[6] > 0:
-            d = removed[sid]
-            d[frame] = d.get(frame, 0) + e[6]
+    single granted bit. Grants and, under ``drop_on_miss``, dropped
+    remainders leave the backlog at the end of their frame. Events at
+    frames past ``total_frames`` are ignored.
 
-    out: Dict[int, float] = {}
+    One pass over the frame-ordered events with O(1) state per station: a
+    station's open frame is settled when its next event opens a later one,
+    and the frames in between, where it logs nothing, repeat its backlog.
+    """
+    n = log.total_frames
+    drop = log.drop_on_miss
+    # Per station: [open frame, backlog after its arrivals, bits it removes,
+    # granted in it, current window, longest window], windows in frames.
+    state = {sid: [0, 0, 0, False, 0, 0] for sid in log.station_ids}
+    # One pseudo-event per station at frame n settles its last frames.
+    closing = ((n, 0.0, "", 0, sid, 0, 0) for sid in log.station_ids)
+    for frame, _, kind, _, sid, _, bits in chain(log.events, closing):
+        if kind == "completion" or kind == "context_switch":
+            continue
+        s = state[sid]
+        if frame != s[0]:
+            opened, backlog, removed, granted, current, best = s
+            if opened < n:
+                if backlog > 0 and not granted:
+                    current += 1
+                    if current > best:
+                        best = current
+                else:
+                    current = 0
+                backlog -= removed
+                silent = (frame if frame < n else n) - opened - 1
+                if silent > 0:
+                    if backlog > 0:
+                        current += silent
+                        if current > best:
+                            best = current
+                    else:
+                        current = 0
+            s[:] = (frame, backlog, 0, False, current, best)
+        if kind == "arrival":
+            s[1] += bits
+        elif kind == "grant":
+            s[2] += bits
+            s[3] = True
+        elif kind == "deadline_miss" and drop and bits > 0:
+            s[2] += bits
+
     delta = log.frame_duration_ms
-    for sid in log.station_ids:
-        backlog = 0
-        current = 0
-        best = 0
-        arr = arrived[sid]
-        rem = removed[sid]
-        got = granted_in[sid]
-        for f in range(log.total_frames):
-            backlog += arr.get(f, 0)
-            if backlog > 0 and f not in got:
-                current += 1
-                if current > best:
-                    best = current
-            else:
-                current = 0
-            backlog -= rem.get(f, 0)
-        out[sid] = best * delta
-    return out
+    return {sid: s[5] * delta for sid, s in state.items()}
 
 
 def count_context_switches(log: EventLog) -> int:
@@ -306,19 +315,42 @@ class ReqInfo:
     service_class: Optional[ServiceClass] = None
 
 
+class _Shared(dict):
+    """Parses each distinct text once, so equal fields share one object."""
+
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self.parse(text)
+        return value
+
+
 def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
                     total_frames: Optional[int] = None) -> EventLog:
     """Rebuild a log from a per-event CSV for re-summarising.
 
     The file does not carry the frame duration, so every non-arrival row is
     checked against the engine's stamp ``frame*delta + delta`` for
-    ``delta = frame_duration_ms``. A mismatch, a malformed file or a run of
-    no frames raises ConfigError. Service classes are not part of the event
-    schema, so per-class delay stats of a reloaded log land under the single
-    key "unknown".
+    ``delta = frame_duration_ms``. A mismatch, a malformed file, a row whose
+    frame is lower than the row before it, or a run of no frames raises
+    ConfigError. Service classes are not part of the event schema, so
+    per-class delay stats of a reloaded log land under the single key
+    "unknown".
+
+    Rows share their values as the engine's log does: one int per frame,
+    one stamp per frame, the engine's event names and one int per distinct
+    integer field, each kind from its own cache.
     """
     delta = frame_duration_ms
     events: List[tuple] = []
+    requests: Dict[int, ReqInfo] = {}
+    frames = _Shared(int)
+    ints = _Shared(int)
+    kinds = _Shared(str)
+    kinds.update((k, k) for k in EVENT_TYPES)
+    frame, stamp = -1, None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -327,36 +359,44 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
                                f"expected {EVENT_HEADER!r}"])
         try:
             for row in reader:
-                e = (int(row[0]), float(row[1]), row[2], int(row[3]),
-                     int(row[4]), int(row[5]), int(row[6]))
-                if e[0] < 0:
-                    raise ValueError(f"negative frame {e[0]}")
-                if e[2] != "arrival" and e[1] != e[0] * delta + delta:
+                f, t, kind = frames[row[0]], float(row[1]), kinds[row[2]]
+                cell, sid, rid, bits = (ints[row[3]], ints[row[4]],
+                                        ints[row[5]], ints[row[6]])
+                if f < 0:
+                    raise ValueError(f"negative frame {f}")
+                if f != frame:
+                    if f < frame:
+                        raise ConfigError([
+                            f"{path}:{reader.line_num}: frame {f} after "
+                            f"frame {frame}; rows must be in frame order"])
+                    frame, stamp = f, f * delta + delta
+                if kind == "arrival":
+                    requests[rid] = ReqInfo(id=rid, station_id=sid,
+                                            arrival_time=t, size_bits=bits)
+                elif t != stamp:
                     raise ConfigError([
-                        f"{path}: {e[2]} of frame {e[0]} stamped {e[1]!r} ms "
-                        f"implies a frame duration of {e[1] / (e[0] + 1)!r} "
+                        f"{path}: {kind} of frame {f} stamped {t!r} ms "
+                        f"implies a frame duration of {t / (f + 1)!r} "
                         f"ms, not {delta!r} ms"])
-                events.append(e)
+                else:
+                    t = stamp
+                events.append((f, t, kind, cell, sid, rid, bits))
         except (ValueError, IndexError) as exc:
             raise ConfigError(
                 [f"{path}:{reader.line_num}: malformed row: {exc}"]) from exc
     if total_frames is None:
-        total_frames = max((e[0] for e in events), default=-1) + 1
+        total_frames = frame + 1
     if total_frames <= 0 or delta <= 0:
         raise ConfigError([f"{path}: duration must be > 0, got {total_frames} "
                            f"frames of {delta!r} ms"])
-    log = EventLog(
+    return EventLog(
         frame_duration_ms=delta,
         total_frames=total_frames,
         scenario_name=os.path.basename(path),
         station_ids=sorted({e[4] for e in events}),
         events=events,
+        requests=requests,
     )
-    for e in events:
-        if e[2] == "arrival":
-            log.requests[e[5]] = ReqInfo(
-                id=e[5], station_id=e[4], arrival_time=e[1], size_bits=e[6])
-    return log
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:

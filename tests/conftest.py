@@ -1,6 +1,6 @@
 """Shared test helpers: a minimal single-cell policy harness that mimics the
-engine's grant application without events or metrics, and a linear-scan EDF
-oracle."""
+engine's grant application without events or metrics, a linear-scan EDF
+oracle, and a per-(station, frame) starvation-window oracle."""
 
 from typing import Dict, List, Optional, Sequence
 
@@ -20,6 +20,54 @@ def edf_select(candidates: Sequence[Request]) -> Request:
                 (best.deadline, best.arrival_time, best.id):
             best = r
     return best
+
+
+def starvation_windows_oracle(log) -> Dict[int, float]:
+    """Per station, the longest backlogged interval without a single grant,
+    by per-(station, frame) tallies and a walk over every frame of the run.
+
+    Frame-granular: a frame counts toward a window when the station holds
+    unserved bits after that frame's arrivals and ends the frame without a
+    single granted bit.
+    """
+    arrived: Dict[int, Dict[int, int]] = {sid: {} for sid in log.station_ids}
+    removed: Dict[int, Dict[int, int]] = {sid: {} for sid in log.station_ids}
+    granted_in: Dict[int, set] = {sid: set() for sid in log.station_ids}
+    for e in log.events:
+        kind = e[2]
+        sid = e[4]
+        frame = e[0]
+        if kind == "arrival":
+            d = arrived[sid]
+            d[frame] = d.get(frame, 0) + e[6]
+        elif kind == "grant":
+            d = removed[sid]
+            d[frame] = d.get(frame, 0) + e[6]
+            granted_in[sid].add(frame)
+        elif kind == "deadline_miss" and log.drop_on_miss and e[6] > 0:
+            d = removed[sid]
+            d[frame] = d.get(frame, 0) + e[6]
+
+    out: Dict[int, float] = {}
+    delta = log.frame_duration_ms
+    for sid in log.station_ids:
+        backlog = 0
+        current = 0
+        best = 0
+        arr = arrived[sid]
+        rem = removed[sid]
+        got = granted_in[sid]
+        for f in range(log.total_frames):
+            backlog += arr.get(f, 0)
+            if backlog > 0 and f not in got:
+                current += 1
+                if current > best:
+                    best = current
+            else:
+                current = 0
+            backlog -= rem.get(f, 0)
+        out[sid] = best * delta
+    return out
 
 
 class PolicyHarness:

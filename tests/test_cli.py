@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 import yaml
@@ -96,10 +97,12 @@ def test_overwrite_without_force_exit_3_and_force_identical(tmp_path):
     assert open(events, "rb").read() == first
 
 
-@pytest.mark.parametrize("seeds", ["1,99999999999999999999999", "1,1"])
+@pytest.mark.parametrize("seeds", ["1,99999999999999999999999", "1,1",
+                                   "abc"])
 def test_run_invalid_seed_writes_nothing(tmp_path, seeds):
-    # A second seed that does not fit in 64 bits, or repeats the first, is
-    # refused before the first events CSV is written.
+    # A second seed that does not fit in 64 bits or repeats the first, or a
+    # seed that is not an integer, is refused before the first events CSV is
+    # written.
     out = tmp_path / "out"
     out.mkdir()
     rc = main(["run", "--scenario", "canonical", "--policy", "edf",
@@ -230,9 +233,43 @@ def test_report_header_only_without_frames_exit_2(tmp_path, capsys):
      "malformed row"),
     ("frame,time_ms,event,cell,station,request,bits\n-1,3.0,grant,0,0,1,8\n",
      "negative frame"),
-], ids=["header", "row", "frame"])
+    ("frame,time_ms,event,cell,station,request,bits\n2,15.0,grant,0,0,1,8\n"
+     "1,10.0,grant,0,0,1,8\n", "bad.csv:3: frame 1 after frame 2"),
+], ids=["header", "row", "frame", "frame order"])
 def test_report_malformed_csv_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     assert main(["report", str(path)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def traced_peak(argv):
+    """Peak bytes allocated by one CLI call, after an untraced warm-up."""
+    assert main(argv) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_holds_one_log_at_a_time(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", "canonical", "--policy", "edf",
+                 "--frames", "1000", "--out", str(out)]) == EXIT_OK
+    events = str(out / "canonical_edf_seed1.events.csv")
+    report = ["report", "--frames", "1000", "--out", str(tmp_path / "rep"),
+              "--force"]
+    once = traced_peak(report + [events])
+    twice = traced_peak(report + [events, events])
+    assert twice <= 1.1 * once
+
+
+def test_run_holds_one_log_at_a_time(tmp_path):
+    # On canonical, rr and wrr log identical runs.
+    run = ["run", "--scenario", "canonical", "--frames", "1000", "--force"]
+    one = traced_peak(run + ["--policy", "rr", "--out", str(tmp_path / "1")])
+    two = traced_peak(run + ["--policy", "rr,wrr",
+                             "--out", str(tmp_path / "2")])
+    assert two <= 1.1 * one

@@ -1,13 +1,18 @@
-"""Engine invariants on small random scenarios: every policy, drop-on-miss
-on and off, mixed service classes and traffic patterns, under- and
-overload."""
+"""Engine and metrics invariants on small random scenarios: every policy,
+drop-on-miss on and off, mixed service classes and traffic patterns, under-
+and overload."""
 
+import os
+import tempfile
 from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import starvation_windows_oracle
 from uplinksim.engine import run
-from uplinksim.metrics import count_context_switches
+from uplinksim.metrics import (compute_metrics, compute_starvation_windows,
+                               count_context_switches, load_events_csv,
+                               write_events_csv)
 from uplinksim.model import Cell, Scenario, ServiceClass, SubscriberStation
 from uplinksim.schedulers import POLICY_NAMES
 from uplinksim.traffic import PATTERNS, TrafficSpec
@@ -77,3 +82,42 @@ def test_engine_invariants_on_random_scenarios(sc):
     assert frames == sorted(frames)
     # compute_metrics counts the engine's context_switch events.
     assert rec.context_switch_count == count_context_switches(log)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=scenarios(), data=st.data())
+def test_starvation_windows_match_oracle(sc, data):
+    log, rec = run(sc)
+    assert rec.max_starvation_window_ms == starvation_windows_oracle(log)
+    # A horizon cut below the last event ignores the events past it.
+    log.total_frames = data.draw(st.integers(0, log.total_frames))
+    assert compute_starvation_windows(log) == starvation_windows_oracle(log)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sc=scenarios())
+def test_csv_reload_reproduces_metrics(sc):
+    log, rec = run(sc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_events_csv(log, os.path.join(tmp, "events.csv"))
+        back = compute_metrics(load_events_csv(
+            path, frame_duration_ms=sc.frame_duration,
+            total_frames=sc.total_frames))
+    # Service classes are not in the event schema, so per-class delays are
+    # not compared. Stations without a single event are absent from the
+    # file; their summary columns read 0. Nor does the file say whether
+    # missed requests were dropped, which decides whether a drop empties the
+    # queue, so starvation windows are compared on drop-free runs only.
+    assert back.throughput_bps == rec.throughput_bps
+    assert back.offered_load_bps == rec.offered_load_bps
+    assert back.delay_ms == rec.delay_ms
+    assert back.deadline_miss_ratio == rec.deadline_miss_ratio
+    assert back.context_switch_count == rec.context_switch_count
+    for sid in log.station_ids:
+        assert back.throughput_bps_by_station.get(sid, 0.0) == \
+            rec.throughput_bps_by_station[sid]
+        if not sc.drop_on_miss:
+            assert back.max_starvation_window_ms.get(sid, 0.0) == \
+                rec.max_starvation_window_ms[sid]
+    assert set(back.throughput_bps_by_station) <= set(log.station_ids)
+    assert set(back.max_starvation_window_ms) <= set(log.station_ids)

@@ -1,8 +1,9 @@
 import csv
+import tracemalloc
 
 import pytest
 
-from uplinksim.engine import EventLog, run, simulate
+from uplinksim.engine import EVENT_TYPES, EventLog, run, simulate
 from uplinksim.metrics import (compute_metrics, compute_starvation_windows,
                                count_context_switches, delay_stats,
                                format_table, load_events_csv,
@@ -11,6 +12,7 @@ from uplinksim.metrics import (compute_metrics, compute_starvation_windows,
                                write_events_csv, write_summary_csv)
 from uplinksim.model import (ConfigError, ServiceClass, canonical_scenario,
                              make_request)
+from conftest import starvation_windows_oracle
 from test_engine import requests_for, single_cell_scenario
 
 RTPS = ServiceClass.RTPS
@@ -100,6 +102,67 @@ def test_starvation_window_resets_on_grant():
     r = make_request(0, 0, RTPS, 0.0, 300)
     log = synthetic_log(events, [r], frames=20)
     assert compute_starvation_windows(log)[0] == 15.0
+
+
+def check_starvation(log, expected):
+    assert compute_starvation_windows(log) == expected
+    assert starvation_windows_oracle(log) == expected
+
+
+def test_starvation_silent_frames_after_drop_end_the_window():
+    # Frames 1-3 starve until the remainders are dropped; frames 4-5 are
+    # silent with nothing queued, so they end that window, the longest.
+    # Frames 6-7 starve again until the grant in frame 8.
+    events = [
+        (0, 0.0, "arrival", 0, 0, 0, 500),
+        (0, 5.0, "grant", 0, 0, 0, 100),
+        (1, 7.0, "arrival", 0, 0, 1, 100),
+        (3, 20.0, "deadline_miss", 0, 0, 0, 400),
+        (3, 20.0, "deadline_miss", 0, 0, 1, 100),
+        (6, 30.0, "arrival", 0, 0, 2, 100),
+        (8, 45.0, "grant", 0, 0, 2, 100),
+        (8, 45.0, "completion", 0, 0, 2, 100),
+    ]
+    log = synthetic_log(events, frames=12)
+    log.drop_on_miss = True
+    check_starvation(log, {0: 15.0})
+
+
+def test_starvation_ignores_events_past_the_horizon():
+    events = [
+        (0, 1.0, "arrival", 0, 0, 0, 100),
+        (5, 26.0, "arrival", 0, 1, 1, 100),
+        (6, 35.0, "grant", 0, 0, 0, 100),
+    ]
+    log = synthetic_log(events, frames=4, stations=(0, 1))
+    check_starvation(log, {0: 20.0, 1: 0.0})
+
+
+@pytest.mark.parametrize("drop,expected", [(True, 10.0), (False, 45.0)])
+def test_starvation_dropped_remainder_in_frame_without_grant(drop, expected):
+    # Granted in frame 0, starved in frames 1 and 2; the remainder missed in
+    # frame 2 leaves the queue only when it is dropped.
+    events = [
+        (0, 0.0, "arrival", 0, 0, 0, 1000),
+        (0, 5.0, "grant", 0, 0, 0, 400),
+        (2, 15.0, "deadline_miss", 0, 0, 0, 600),
+    ]
+    log = synthetic_log(events, frames=10)
+    log.drop_on_miss = drop
+    check_starvation(log, {0: expected})
+
+
+def test_starvation_windows_scratch_memory_is_per_station():
+    sc = canonical_scenario(seed=1, scheduler_name="edf", total_frames=3000)
+    log, rec = run(sc)
+    tracemalloc.start()
+    try:
+        windows = compute_starvation_windows(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert windows == rec.max_starvation_window_ms
+    assert peak < 1 << 20
 
 
 def test_context_switch_recount_matches_engine_events():
@@ -200,6 +263,30 @@ def test_event_csv_replay_matches_in_memory(tmp_path):
     assert rec2.deadline_miss_ratio == rec.deadline_miss_ratio
     assert rec2.context_switch_count == rec.context_switch_count
     assert rec2.max_starvation_window_ms == rec.max_starvation_window_ms
+
+
+def test_load_events_csv_accepts_csv_variants_and_shares_values(tmp_path):
+    # Quoted fields, extra columns and bare \n line endings parse as before;
+    # an event name that looks like a number stays a string.
+    path = tmp_path / "ev.csv"
+    path.write_bytes(
+        b"frame,time_ms,event,cell,station,request,bits\n"
+        b'"300","1501.5","arrival",1000,1000,70000,1000\n'
+        b'300,1505.0,"grant",1000,1000,70000,600\n'
+        b"300,1505.0,5,1000,1000,70000,400,,\n"
+        b"301,1510.0,grant,1000,1000,70000,400\n")
+    log = load_events_csv(str(path))
+    assert log.events == [(300, 1501.5, "arrival", 1000, 1000, 70000, 1000),
+                          (300, 1505.0, "grant", 1000, 1000, 70000, 600),
+                          (300, 1505.0, "5", 1000, 1000, 70000, 400),
+                          (301, 1510.0, "grant", 1000, 1000, 70000, 400)]
+    first, grant, odd, later = log.events
+    # One frame int and one stamp per frame, the engine's event names, and
+    # one int per distinct integer field value.
+    assert first[0] is grant[0] is odd[0] and grant[1] is odd[1]
+    assert grant[2] is EVENT_TYPES[1] and later[2] is grant[2]
+    assert first[3] is first[4] is first[6] and first[5] is later[5]
+    assert odd[6] is later[6]
 
 
 def test_summary_columns_stable():
