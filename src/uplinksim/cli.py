@@ -44,6 +44,11 @@ Scenario file schema (YAML)
                 start_ms: 0        # optional, default 0
                 stop_ms: 60000     # optional, default run end
 
+Values are checked, not cast: ids, counts, capacities, sizes, ``seed`` and
+``wrr_weight`` are integers, ms values, rates and ``ewma_alpha`` numbers,
+``drop_on_miss`` true or false. Any other type is a configuration error
+naming its path.
+
 The builtin names ``canonical`` (7 cells x 2 stations, rtPS plus best-effort
 background) and ``starvation`` (one overloaded real-time station next to a
 sparse best-effort station) need no file.
@@ -79,16 +84,46 @@ BUILTIN_SCENARIOS = {
 }
 
 
-def _require(mapping: dict, key: str, path: str, errors: List[str]):
+# Value kinds of the scenario schema: a name for messages and the accepted
+# Python types. A bool is an int in Python, so only _BOOL accepts one.
+_INT = ("an integer", int)
+_NUMBER = ("a number", (int, float))
+_BOOL = ("true or false", bool)
+_STRING = ("a string", str)
+_MAPPINGS = ("a list of mappings", list)
+_REQUIRED = object()
+
+
+def _get(mapping: dict, key: str, path: str, kind, errors: List[str],
+         default=_REQUIRED):
+    """``mapping[key]`` if it is of ``kind`` (a number comes back as a
+    float), else None with an error that names the key's path; ``default``
+    when an optional key is absent."""
     if key not in mapping:
-        errors.append(f"{path}.{key}: missing required key")
+        if default is _REQUIRED:
+            errors.append(f"{path}.{key}: missing required key")
+            return None
+        return default
+    value = mapping[key]
+    name, types = kind
+    ok = isinstance(value, types) and (
+        kind is _BOOL or not isinstance(value, bool))
+    if ok and kind is _MAPPINGS:
+        ok = all(isinstance(item, dict) for item in value)
+    if ok and kind is _NUMBER:
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+    if not ok:
+        errors.append(f"{path}.{key}: expected {name}, got {value!r}")
         return None
-    return mapping[key]
+    return value
 
 
 def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
     """Build a Scenario from a parsed config tree; raises ConfigError with
-    every structural problem found."""
+    every structural or type problem found, each naming its path."""
     errors: List[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["config: top level must be a mapping"])
@@ -100,44 +135,50 @@ def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
             errors.append(f"config.{key}: unknown key")
 
     name = doc.get("name", default_name)
-    frame_ms = _require(doc, "frame_duration_ms", "config", errors)
-    total_frames = _require(doc, "total_frames", "config", errors)
-    cells_doc = _require(doc, "cells", "config", errors) or []
+    frame_ms = _get(doc, "frame_duration_ms", "config", _NUMBER, errors)
+    total_frames = _get(doc, "total_frames", "config", _INT, errors)
+    seed = _get(doc, "seed", "config", _INT, errors, 1)
+    alpha = _get(doc, "ewma_alpha", "config", _NUMBER, errors, 0.1)
+    drop_on_miss = _get(doc, "drop_on_miss", "config", _BOOL, errors, False)
+    cells_doc = _get(doc, "cells", "config", _MAPPINGS, errors) or []
 
     cells: List[Cell] = []
     stations: List[SubscriberStation] = []
     specs: Dict[int, Tuple[TrafficSpec, ...]] = {}
-    horizon = None
-    try:
-        horizon = float(frame_ms) * int(total_frames)
-    except (TypeError, ValueError):
-        pass
+    horizon = float("inf")
+    if frame_ms is not None and total_frames is not None:
+        horizon = frame_ms * total_frames
 
     for i, cdoc in enumerate(cells_doc):
         cpath = f"cells[{i}]"
-        cid = _require(cdoc, "id", cpath, errors)
-        ccap = _require(cdoc, "capacity_bits_per_frame", cpath, errors)
-        if cid is None or ccap is None:
+        cid = _get(cdoc, "id", cpath, _INT, errors)
+        ccap = _get(cdoc, "capacity_bits_per_frame", cpath, _INT, errors)
+        sdocs = _get(cdoc, "stations", cpath, _MAPPINGS, errors, [])
+        if None in (cid, ccap, sdocs):
             continue
         sids = []
-        for j, sdoc in enumerate(cdoc.get("stations", [])):
+        for j, sdoc in enumerate(sdocs):
             spath = f"{cpath}.stations[{j}]"
-            sid = _require(sdoc, "id", spath, errors)
-            scap = sdoc.get("capacity_bits_per_frame", ccap)
-            if sid is None:
+            sid = _get(sdoc, "id", spath, _INT, errors)
+            scap = _get(sdoc, "capacity_bits_per_frame", spath, _INT, errors,
+                        ccap)
+            weight = _get(sdoc, "wrr_weight", spath, _INT, errors, None)
+            tdocs = _get(sdoc, "traffic", spath, _MAPPINGS, errors, [])
+            if None in (sid, scap, tdocs):
                 continue
             sids.append(sid)
             stations.append(SubscriberStation(
-                id=sid, cell_id=cid, capacity_c=int(scap),
-                wrr_weight=sdoc.get("wrr_weight")))
+                id=sid, cell_id=cid, capacity_c=scap, wrr_weight=weight))
             st_specs = []
-            for k, tdoc in enumerate(sdoc.get("traffic", [])):
+            for k, tdoc in enumerate(tdocs):
                 tpath = f"{spath}.traffic[{k}]"
-                cls_name = _require(tdoc, "class", tpath, errors)
-                pattern = _require(tdoc, "pattern", tpath, errors)
-                rate = _require(tdoc, "rate_bits_per_s", tpath, errors)
-                size = _require(tdoc, "packet_size_bits", tpath, errors)
-                if None in (cls_name, pattern, rate, size):
+                cls_name = _get(tdoc, "class", tpath, _STRING, errors)
+                pattern = _get(tdoc, "pattern", tpath, _STRING, errors)
+                rate = _get(tdoc, "rate_bits_per_s", tpath, _NUMBER, errors)
+                size = _get(tdoc, "packet_size_bits", tpath, _INT, errors)
+                start = _get(tdoc, "start_ms", tpath, _NUMBER, errors, 0.0)
+                stop = _get(tdoc, "stop_ms", tpath, _NUMBER, errors, horizon)
+                if None in (cls_name, pattern, rate, size, start, stop):
                     continue
                 if cls_name not in CLASS_BY_NAME:
                     errors.append(f"{tpath}.class: unknown class {cls_name!r}, "
@@ -147,16 +188,15 @@ def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
                     errors.append(f"{tpath}.pattern: unknown pattern "
                                   f"{pattern!r}, expected one of {PATTERNS}")
                     continue
-                stop_default = horizon if horizon is not None else float("inf")
                 st_specs.append(TrafficSpec(
                     service_class=CLASS_BY_NAME[cls_name],
                     pattern=pattern,
-                    rate_bits_per_s=float(rate),
-                    packet_size_bits=int(size),
-                    start_time=float(tdoc.get("start_ms", 0.0)),
-                    stop_time=float(tdoc.get("stop_ms", stop_default))))
+                    rate_bits_per_s=rate,
+                    packet_size_bits=size,
+                    start_time=start,
+                    stop_time=stop))
             specs[sid] = tuple(st_specs)
-        cells.append(Cell(id=cid, base_station_capacity=int(ccap),
+        cells.append(Cell(id=cid, base_station_capacity=ccap,
                           station_ids=sids))
 
     if errors:
@@ -165,13 +205,13 @@ def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
         name=str(name),
         cells=cells,
         stations=stations,
-        frame_duration=float(frame_ms),
-        total_frames=int(total_frames),
+        frame_duration=frame_ms,
+        total_frames=total_frames,
         traffic_specs=specs,
-        seed=int(doc.get("seed", 1)),
+        seed=seed,
         scheduler_name=str(doc.get("scheduler", "edf")),
-        ewma_alpha=float(doc.get("ewma_alpha", 0.1)),
-        drop_on_miss=bool(doc.get("drop_on_miss", False)),
+        ewma_alpha=alpha,
+        drop_on_miss=drop_on_miss,
     )
 
 
@@ -266,11 +306,6 @@ def _run_to_csv(sc: Scenario, events_path: str, force: bool,
 def cmd_run(args) -> int:
     policies = _parse_list(args.policy) if args.policy else None
     seeds = _parse_seeds(args.seed) if args.seed else None
-    if policies:
-        unknown = [p for p in policies if p not in POLICY_NAMES]
-        if unknown:
-            raise ConfigError(
-                [f"policy: unknown {unknown}, expected from {POLICY_NAMES}"])
 
     base = load_scenario(args.scenario, total_frames=args.frames,
                          drop_on_miss=args.drop_on_miss or None)

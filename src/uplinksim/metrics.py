@@ -281,29 +281,6 @@ def parse_summary_csv(path: str) -> List[Dict[str, object]]:
     return out
 
 
-def record_from_summary(row: Dict[str, object],
-                        station_ids: Sequence[int]) -> MetricsRecord:
-    """Inverse of summary_row, for round-trip checks and re-reporting."""
-    by_class = {}
-    for cls in CLASS_ORDER:
-        by_class[cls] = DelayStats(
-            mean=row[f"delay_mean_ms_{cls}"], p50=row[f"delay_p50_ms_{cls}"],
-            p95=row[f"delay_p95_ms_{cls}"], max=row[f"delay_max_ms_{cls}"])
-    return MetricsRecord(
-        throughput_bps=row["throughput_bps"],
-        throughput_bps_by_station={
-            sid: row[f"throughput_bps_station{sid}"] for sid in station_ids},
-        delay_ms=DelayStats(mean=row["delay_mean_ms"], p50=row["delay_p50_ms"],
-                            p95=row["delay_p95_ms"], max=row["delay_max_ms"]),
-        delay_ms_by_class=by_class,
-        deadline_miss_ratio=row["deadline_miss_ratio"],
-        max_starvation_window_ms={
-            sid: row[f"max_starvation_ms_station{sid}"] for sid in station_ids},
-        context_switch_count=row["context_switch_count"],
-        offered_load_bps=row["offered_load_bps"],
-    )
-
-
 @dataclass(slots=True)
 class ReqInfo:
     """Minimal request view reconstructed from an arrival row."""

@@ -3,15 +3,21 @@
 A policy instance is owned by exactly one cell of one run and owns that
 cell's request queues. The engine hands it every arrival through
 :meth:`SchedulerPolicy.on_arrival`; each frame, ``allocate_frame`` returns
-the grants as ``(request, bits)`` pairs, which the engine applies. A queue
-keeps a request until all of its bits are granted, and discards a request
-the engine dropped (drop-on-miss) when it next reaches it. Policies never
-mutate requests or stations, may keep state across frames, and give a
-request at most one grant per frame.
+the grants as ``(request, bits)`` pairs, which the engine applies after
+the call returns. Policies never mutate requests or stations, may keep state
+across frames, and hold only live requests: a request leaves its queue when
+all of its bits are granted, and a request the engine dropped (drop-on-miss)
+is discarded when the policy next reaches it.
+
+Once a request is granted in a frame, the policy does not look at it again
+in that frame, so no policy needs to know when the engine applies grants. A
+full grant removes the request from the policy's queues; a partial grant
+uses the last of the capacity and so ends the frame.
 
 The five policies:
 
-* ``rr``      round robin over stations, one head-of-queue request per visit.
+* ``rr``      round robin over stations, one head-of-queue request per visit
+              (wrr with every weight 1).
 * ``wrr``     weighted round robin; a station may serve up to weight(i)
               requests per cycle, weights default to being proportional to
               station capacity.
@@ -132,12 +138,11 @@ class RoundRobinPolicy(SchedulerPolicy):
         self._ptr = 0
         self._queues: Dict[int, Deque[Request]] = {
             sid: deque() for sid in self._order}
+        # Requests a station may serve per visit.
+        self._weights: Dict[int, int] = {sid: 1 for sid in self._order}
 
     def on_arrival(self, request: Request) -> None:
         self._queues[request.station_id].append(request)
-
-    def _shares(self, sid: int) -> int:
-        return 1
 
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
@@ -149,7 +154,7 @@ class RoundRobinPolicy(SchedulerPolicy):
             sid = self._order[self._ptr]
             queue = self._queues[sid]
             served_any = False
-            shares = self._shares(sid)
+            shares = self._weights[sid]
             while queue and shares and cap:
                 r = queue[0]
                 if r.dropped:
@@ -181,16 +186,12 @@ class WeightedRoundRobinPolicy(RoundRobinPolicy):
     def __init__(self, cell, stations, frame_duration_ms):
         super().__init__(cell, stations, frame_duration_ms)
         min_c = min(stations[sid].capacity_c for sid in self._order)
-        self._weights = {}
         for sid in self._order:
             st = stations[sid]
             if st.wrr_weight is not None:
                 self._weights[sid] = st.wrr_weight
             else:
                 self._weights[sid] = max(1, round(st.capacity_c / min_c))
-
-    def _shares(self, sid: int) -> int:
-        return self._weights[sid]
 
 
 class EarliestDeadlineFirstPolicy(SchedulerPolicy):
@@ -216,46 +217,36 @@ class EarliestDeadlineFirstPolicy(SchedulerPolicy):
         heap = self._heap
         while cap > 0 and heap:
             r = heap[0][3]
-            rem = r.size_bits - r.served_bits
-            if rem <= 0 or r.dropped:
+            if r.dropped:
                 heapq.heappop(heap)
                 continue
+            rem = r.size_bits - r.served_bits
             g = min(rem, cap)
             grants.append((r, g))
             cap -= g
             if g == rem:
-                heapq.heappop(heap)  # completes once the engine applies it
+                heapq.heappop(heap)
             # else: capacity exhausted; the partial request stays on top
         return grants
 
 
 class _StationHeapPolicy(SchedulerPolicy):
-    """Shared machinery: one deadline heap per station, stale entries
-    (completed or dropped requests) discarded lazily on inspection."""
+    """Shared machinery: one deadline heap per station, dropped requests
+    discarded lazily on inspection."""
 
     def __init__(self, cell, stations, frame_duration_ms):
         super().__init__(cell, stations, frame_duration_ms)
         self._heaps: Dict[int, List[_HeapEntry]] = {
             sid: [] for sid in cell.station_ids}
-        # Requests completed by grants of the frame in progress. Their
-        # served_bits only advance once the engine applies the grants, so
-        # until then they must be ignored here without being popped (they
-        # may not sit on top of their heap).
-        self._done: set = set()
 
     def on_arrival(self, request: Request) -> None:
         heapq.heappush(self._heaps[request.station_id], _entry(request))
 
     def _head(self, sid: int) -> Optional[Request]:
         heap = self._heaps[sid]
-        done = self._done
-        while heap:
-            r = heap[0][3]
-            if r.dropped or r.served_bits >= r.size_bits or r.id in done:
-                heapq.heappop(heap)
-                continue
-            return r
-        return None
+        while heap and heap[0][3].dropped:
+            heapq.heappop(heap)
+        return heap[0][3] if heap else None
 
     def _ranked_stations(self) -> List[int]:
         """The cell's stations in descending fairness priority; ties go to
@@ -310,12 +301,13 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
 class HeuristicEdfPolicy(_StationHeapPolicy):
     """ssbpf_edf with a sticky current task.
 
-    The current (station, request) persists across frames. Whenever capacity
-    remains, the would-be next task is the deadline-first head of the best
-    priority station, leaving the current request aside; the scheduler then
+    The current request persists across frames, held outside the station
+    heaps. Whenever capacity remains, the would-be next task is the
+    deadline-first head of the best priority station; the scheduler then
     projects the next task's completion time were the current task to finish
     first (claim_value) and preempts only if that projection misses the next
-    task's deadline. Completions hand over without a context switch.
+    task's deadline. A preempted task goes back to its station heap.
+    Completions hand over without a context switch.
     """
 
     name = "hedf"
@@ -324,42 +316,32 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
         super().__init__(cell, stations, frame_duration_ms)
         self._current: Optional[Request] = None
 
-    def _candidate(self, ranked: List[int],
-                   exclude: Optional[Request]) -> Optional[Request]:
+    def _candidate(self, ranked: List[int]) -> Optional[Request]:
+        """The head of the first ranked station that has one."""
         for sid in ranked:
             head = self._head(sid)
-            if head is None:
-                continue
-            if exclude is not None and head.id == exclude.id:
-                # Look one past the current task within its own station.
-                heap = self._heaps[sid]
-                top = heapq.heappop(heap)
-                nxt = self._head(sid)
-                heapq.heappush(heap, top)
-                if nxt is not None:
-                    return nxt
-                continue
-            return head
+            if head is not None:
+                return head
         return None
 
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
         grants: Grants = []
         cap = capacity
-        self._done.clear()
         ranked = self._ranked_stations()
+        cur = self._current
+        if cur is not None and cur.dropped:
+            cur = None
         while cap > 0:
-            cur = self._current
-            if cur is not None and (cur.dropped
-                                    or cur.served_bits >= cur.size_bits):
-                cur = self._current = None
             if cur is None:
-                cur = self._candidate(ranked, None)
+                cur = self._candidate(ranked)
                 if cur is None:
                     break
-                self._current = cur  # succession after completion, no switch
+                # Take it from its heap; succeeding a completed task is no
+                # switch.
+                heapq.heappop(self._heaps[cur.station_id])
             else:
-                cand = self._candidate(ranked, cur)
+                cand = self._candidate(ranked)
                 if cand is not None:
                     c_cur = self.stations[cur.station_id].capacity_c
                     mu = claim_value(
@@ -371,14 +353,18 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
                         now=now,
                     )
                     if hedf_decide(mu, cand.deadline).outcome is Outcome.SWITCH:
-                        cur = self._current = cand
+                        # Pop before the push: cand may share cur's station.
+                        heapq.heappop(self._heaps[cand.station_id])
+                        heapq.heappush(self._heaps[cur.station_id],
+                                       _entry(cur))
+                        cur = cand
             rem = cur.size_bits - cur.served_bits
             g = min(rem, cap)
             grants.append((cur, g))
             cap -= g
             if g == rem:
-                self._done.add(cur.id)
-                self._current = None
+                cur = None
+        self._current = cur
         return grants
 
 

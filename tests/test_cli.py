@@ -1,9 +1,14 @@
+import copy
 import os
+import re
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
 
+from uplinksim import cli
 from uplinksim.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                            load_scenario, main, scenario_to_dict)
 from uplinksim.model import ConfigError
@@ -79,10 +84,12 @@ def test_missing_scenario_file_exit_2(tmp_path):
     assert not os.path.exists(os.path.join(out, "summary.csv"))
 
 
-def test_unknown_policy_exit_2(tmp_path):
+def test_unknown_policy_exit_2(tmp_path, capsys):
     rc = main(["run", "--scenario", "canonical", "--policy", "lifo",
                "--out", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG
+    assert "'lifo'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_overwrite_without_force_exit_3_and_force_identical(tmp_path):
@@ -161,6 +168,78 @@ def test_validate_collects_multiple_violations(tmp_path, capsys):
     assert main(["validate", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "ewma_alpha" in err and "total_frames" in err
+
+
+STATION0 = ["cells", 0, "stations", 0]
+TRAFFIC0 = STATION0 + ["traffic", 0]
+
+
+@pytest.mark.parametrize("where,value,path", [
+    (["drop_on_miss"], "no", "config.drop_on_miss"),
+    (["total_frames"], 100.7, "config.total_frames"),
+    (["cells", 0, "capacity_bits_per_frame"], 1200.9,
+     "cells[0].capacity_bits_per_frame"),
+    (TRAFFIC0 + ["packet_size_bits"], 800.5,
+     "cells[0].stations[0].traffic[0].packet_size_bits"),
+    (["cells"], 5, "config.cells"),
+    (["cells"], [7], "config.cells"),
+    (["cells", 0, "capacity_bits_per_frame"], "abc",
+     "cells[0].capacity_bits_per_frame"),
+    (["frame_duration_ms"], "fast", "config.frame_duration_ms"),
+    (["seed"], "x", "config.seed"),
+    (TRAFFIC0 + ["stop_ms"], "soon",
+     "cells[0].stations[0].traffic[0].stop_ms"),
+    (STATION0 + ["traffic"], "rtPS", "cells[0].stations[0].traffic"),
+    (["seed"], True, "config.seed"),
+    (TRAFFIC0 + ["rate_bits_per_s"], 10 ** 400,
+     "cells[0].stations[0].traffic[0].rate_bits_per_s"),
+], ids=["drop_on_miss no", "total_frames float", "capacity float",
+        "packet size float", "cells int", "cells of int", "capacity str",
+        "frame_duration_ms str", "seed str", "stop_ms str", "traffic str",
+        "seed bool", "rate beyond float"])
+def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, where, value,
+                                           path):
+    # Each value is refused where it is read, with its path named, instead
+    # of being cast (truncated, or any string taken as true) or crashing.
+    doc = copy.deepcopy(GOOD_CONFIG)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert main(["run", "--scenario", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"{path}: expected " in err
+    assert "missing required key" not in err
+
+
+def documented_scenarios():
+    """The scenario YAML shown in README.md and in the cli docstring."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    schema = cli.__doc__.split("Scenario file schema (YAML)")[1]
+    literal = []
+    for line in schema.split("::\n", 1)[1].splitlines():
+        if line and not line.startswith(" "):
+            break
+        literal.append(line)
+    return {"README.md": blocks, "cli docstring": [
+        textwrap.dedent("\n".join(literal))]}
+
+
+@pytest.mark.parametrize("source", ["README.md", "cli docstring"])
+def test_documented_scenario_yaml_validates(tmp_path, capsys, source):
+    blocks = documented_scenarios()[source]
+    assert blocks
+    for text in blocks:
+        assert "cells:" in text
+        path = tmp_path / "doc.yaml"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == EXIT_OK, \
+            capsys.readouterr().err
 
 
 def test_run_from_config_file(tmp_path):

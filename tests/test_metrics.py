@@ -4,12 +4,13 @@ import tracemalloc
 import pytest
 
 from uplinksim.engine import EVENT_TYPES, EventLog, run, simulate
-from uplinksim.metrics import (compute_metrics, compute_starvation_windows,
+from uplinksim.metrics import (CLASS_ORDER, DelayStats, MetricsRecord,
+                               compute_metrics, compute_starvation_windows,
                                count_context_switches, delay_stats,
                                format_table, load_events_csv,
-                               parse_summary_csv, record_from_summary,
-                               summary_columns, summary_row,
-                               write_events_csv, write_summary_csv)
+                               parse_summary_csv, summary_columns,
+                               summary_row, write_events_csv,
+                               write_summary_csv)
 from uplinksim.model import (ConfigError, ServiceClass, canonical_scenario,
                              make_request)
 from conftest import starvation_windows_oracle
@@ -208,6 +209,28 @@ def test_export_overwrite_guard(tmp_path):
     with pytest.raises(FileExistsError):
         write_events_csv(log, path)
     write_events_csv(log, path, force=True)
+
+
+def record_from_summary(row, station_ids):
+    """Inverse of summary_row."""
+    by_class = {}
+    for cls in CLASS_ORDER:
+        by_class[cls] = DelayStats(
+            mean=row[f"delay_mean_ms_{cls}"], p50=row[f"delay_p50_ms_{cls}"],
+            p95=row[f"delay_p95_ms_{cls}"], max=row[f"delay_max_ms_{cls}"])
+    return MetricsRecord(
+        throughput_bps=row["throughput_bps"],
+        throughput_bps_by_station={
+            sid: row[f"throughput_bps_station{sid}"] for sid in station_ids},
+        delay_ms=DelayStats(mean=row["delay_mean_ms"], p50=row["delay_p50_ms"],
+                            p95=row["delay_p95_ms"], max=row["delay_max_ms"]),
+        delay_ms_by_class=by_class,
+        deadline_miss_ratio=row["deadline_miss_ratio"],
+        max_starvation_window_ms={
+            sid: row[f"max_starvation_ms_station{sid}"] for sid in station_ids},
+        context_switch_count=row["context_switch_count"],
+        offered_load_bps=row["offered_load_bps"],
+    )
 
 
 def test_summary_round_trip_exact(tmp_path):

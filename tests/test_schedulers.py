@@ -309,6 +309,50 @@ def test_hedf_preempts_when_projection_misses_deadline():
     assert grants[1][0] is big
 
 
+def test_hedf_same_station_preemption_resumes_current_task():
+    # The current task is its station's only request when an earlier-deadline
+    # request arrives in the same station.
+    h = PolicyHarness("hedf", n_stations=1, capacity=1000)
+    big = h.arrive(0, 3000, 0.0, BE)
+    assert h.frame(0) == [(big, 1000)]
+    urgent = h.arrive(0, 1500, 5.0, RTPS, deadline=12.0)
+    # Projection: 7.5 ms burst + 10 ms of current remainder + now 5 > 12.
+    assert h.frame(1) == [(urgent, 1000)]
+    # urgent is now current; big, waiting again, does not preempt it back
+    # and takes the rest of the frame once urgent completes.
+    assert h.frame(2) == [(urgent, 500), (big, 500)]
+    assert h.frame(3) == [(big, 1000)]
+    assert h.frame(4) == [(big, 500)]
+    assert h.frame(5) == []
+    assert big.served_bits == big.size_bits
+    assert urgent.served_bits == urgent.size_bits
+
+
+def test_hedf_same_station_switch_to_later_deadline():
+    # The overload thrash: the candidate, next in the current task's own
+    # station, cannot meet its deadline anyway, so the projection fails and
+    # hedf preempts the earlier-deadline current task for it.
+    h = PolicyHarness("hedf", n_stations=1, capacity=1000)
+    cur = h.arrive(0, 3000, 0.0, RTPS, deadline=10.0)
+    later = h.arrive(0, 500, 0.0, RTPS, deadline=11.0)
+    assert h.frame(0) == [(cur, 1000)]
+    # Projection: 2.5 ms burst + 10 ms of current remainder + now 5 > 11.
+    assert h.frame(1) == [(later, 500), (cur, 500)]
+    assert h.frame(2) == [(cur, 1000)]
+    assert h.frame(3) == [(cur, 500)]
+    assert h.frame(4) == []
+
+
+def test_hedf_forgets_dropped_current_task():
+    h = PolicyHarness("hedf", n_stations=2, capacity=1000)
+    cur = h.arrive(0, 3000, 0.0, BE)
+    nxt = h.arrive(1, 400, 0.0, BE, deadline=2000.0)
+    assert h.frame(0) == [(cur, 1000)]
+    cur.dropped = True
+    assert h.frame(1) == [(nxt, 400)]
+    assert h.frame(2) == []
+
+
 def test_hedf_current_persists_across_frames():
     h = PolicyHarness("hedf", n_stations=1, capacity=1000)
     r = h.arrive(0, 3000, 0.0, BE)
