@@ -45,9 +45,10 @@ Scenario file schema (YAML)
                 stop_ms: 60000     # optional, default run end
 
 Values are checked, not cast: ids, counts, capacities, sizes, ``seed`` and
-``wrr_weight`` are integers, ms values, rates and ``ewma_alpha`` numbers,
-``drop_on_miss`` true or false. Any other type is a configuration error
-naming its path.
+``wrr_weight`` are integers, ms values, rates and ``ewma_alpha`` finite
+numbers (``stop_ms`` may be ``.inf``), ``name`` and ``scheduler`` strings,
+``drop_on_miss`` true or false. Any other value, and a key not shown above,
+at any level, is a configuration error naming its path.
 
 The builtin names ``canonical`` (7 cells x 2 stations, rtPS plus best-effort
 background) and ``starvation`` (one overloaded real-time station next to a
@@ -66,12 +67,12 @@ import yaml
 
 from .engine import InvariantError, run
 from .metrics import (MetricsRecord, _guard, compute_metrics, format_table,
-                      load_events_csv, summary_columns, summary_row,
-                      write_events_csv, write_summary_csv)
+                      load_events_csv, summary_row, write_events_csv,
+                      write_summary_csv)
 from .model import (CLASS_BY_NAME, Cell, ConfigError, Scenario,
                     SubscriberStation, canonical_scenario, validate_scenario)
 from .schedulers import POLICY_NAMES
-from .traffic import PATTERNS, TrafficSpec, starvation_scenario
+from .traffic import TrafficSpec, starvation_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,126 +94,121 @@ _STRING = ("a string", str)
 _MAPPINGS = ("a list of mappings", list)
 _REQUIRED = object()
 
+# One table per level of the scenario file: key -> (kind, default). A default
+# that depends on the enclosing level (the file stem, the cell's capacity,
+# the run end) is passed to _read by the caller.
+CONFIG_KEYS = {"name": (_STRING, _REQUIRED),
+               "frame_duration_ms": (_NUMBER, _REQUIRED),
+               "total_frames": (_INT, _REQUIRED),
+               "seed": (_INT, 1),
+               "scheduler": (_STRING, "edf"),
+               "ewma_alpha": (_NUMBER, 0.1),
+               "drop_on_miss": (_BOOL, False),
+               "cells": (_MAPPINGS, _REQUIRED)}
+CELL_KEYS = {"id": (_INT, _REQUIRED),
+             "capacity_bits_per_frame": (_INT, _REQUIRED),
+             "stations": (_MAPPINGS, [])}
+STATION_KEYS = {"id": (_INT, _REQUIRED),
+                "capacity_bits_per_frame": (_INT, _REQUIRED),
+                "wrr_weight": (_INT, None),
+                "traffic": (_MAPPINGS, [])}
+TRAFFIC_KEYS = {"class": (_STRING, _REQUIRED),
+                "pattern": (_STRING, _REQUIRED),
+                "rate_bits_per_s": (_NUMBER, _REQUIRED),
+                "packet_size_bits": (_INT, _REQUIRED),
+                "start_ms": (_NUMBER, 0.0),
+                "stop_ms": (_NUMBER, _REQUIRED)}
 
-def _get(mapping: dict, key: str, path: str, kind, errors: List[str],
-         default=_REQUIRED):
-    """``mapping[key]`` if it is of ``kind`` (a number comes back as a
-    float), else None with an error that names the key's path; ``default``
-    when an optional key is absent."""
-    if key not in mapping:
-        if default is _REQUIRED:
-            errors.append(f"{path}.{key}: missing required key")
-            return None
-        return default
-    value = mapping[key]
-    name, types = kind
-    ok = isinstance(value, types) and (
-        kind is _BOOL or not isinstance(value, bool))
-    if ok and kind is _MAPPINGS:
-        ok = all(isinstance(item, dict) for item in value)
-    if ok and kind is _NUMBER:
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range
-            ok = False
-    if not ok:
-        errors.append(f"{path}.{key}: expected {name}, got {value!r}")
-        return None
-    return value
+
+def _read(doc: dict, table: dict, path: str, errors: List[str],
+          **defaults) -> dict:
+    """Every key of ``table`` with its value in ``doc`` (a number comes back
+    as a float) or its default. A key the table lacks, a missing required
+    key and a value of the wrong kind each add an error naming its path;
+    the last two read as None."""
+    errors.extend(f"{path}.{key}: unknown key" for key in doc
+                  if key not in table)
+    out = {}
+    for key, (kind, default) in table.items():
+        if key not in doc:
+            out[key] = defaults.get(key, default)
+            if out[key] is _REQUIRED:
+                errors.append(f"{path}.{key}: missing required key")
+                out[key] = None
+            continue
+        value = doc[key]
+        name, types = kind
+        ok = isinstance(value, types) and (
+            kind is _BOOL or not isinstance(value, bool))
+        if ok and kind is _MAPPINGS:
+            ok = all(isinstance(item, dict) for item in value)
+        if ok and kind is _NUMBER:
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                ok = False
+        if not ok:
+            errors.append(f"{path}.{key}: expected {name}, got {value!r}")
+            value = None
+        out[key] = value
+    return out
 
 
 def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
     """Build a Scenario from a parsed config tree; raises ConfigError with
-    every structural or type problem found, each naming its path."""
+    every structural, type or unknown-key problem found, each naming its
+    path."""
     errors: List[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["config: top level must be a mapping"])
-
-    known = {"name", "frame_duration_ms", "total_frames", "seed", "scheduler",
-             "ewma_alpha", "drop_on_miss", "cells"}
-    for key in doc:
-        if key not in known:
-            errors.append(f"config.{key}: unknown key")
-
-    name = doc.get("name", default_name)
-    frame_ms = _get(doc, "frame_duration_ms", "config", _NUMBER, errors)
-    total_frames = _get(doc, "total_frames", "config", _INT, errors)
-    seed = _get(doc, "seed", "config", _INT, errors, 1)
-    alpha = _get(doc, "ewma_alpha", "config", _NUMBER, errors, 0.1)
-    drop_on_miss = _get(doc, "drop_on_miss", "config", _BOOL, errors, False)
-    cells_doc = _get(doc, "cells", "config", _MAPPINGS, errors) or []
-
-    cells: List[Cell] = []
-    stations: List[SubscriberStation] = []
-    specs: Dict[int, Tuple[TrafficSpec, ...]] = {}
+    top = _read(doc, CONFIG_KEYS, "config", errors, name=default_name)
+    frame_ms, total_frames = top["frame_duration_ms"], top["total_frames"]
     horizon = float("inf")
     if frame_ms is not None and total_frames is not None:
         horizon = frame_ms * total_frames
 
-    for i, cdoc in enumerate(cells_doc):
+    cells: List[Cell] = []
+    stations: List[SubscriberStation] = []
+    specs: Dict[int, Tuple[TrafficSpec, ...]] = {}
+    for i, cdoc in enumerate(top["cells"] or []):
         cpath = f"cells[{i}]"
-        cid = _get(cdoc, "id", cpath, _INT, errors)
-        ccap = _get(cdoc, "capacity_bits_per_frame", cpath, _INT, errors)
-        sdocs = _get(cdoc, "stations", cpath, _MAPPINGS, errors, [])
-        if None in (cid, ccap, sdocs):
-            continue
+        c = _read(cdoc, CELL_KEYS, cpath, errors)
         sids = []
-        for j, sdoc in enumerate(sdocs):
+        for j, sdoc in enumerate(c["stations"] or []):
             spath = f"{cpath}.stations[{j}]"
-            sid = _get(sdoc, "id", spath, _INT, errors)
-            scap = _get(sdoc, "capacity_bits_per_frame", spath, _INT, errors,
-                        ccap)
-            weight = _get(sdoc, "wrr_weight", spath, _INT, errors, None)
-            tdocs = _get(sdoc, "traffic", spath, _MAPPINGS, errors, [])
-            if None in (sid, scap, tdocs):
-                continue
-            sids.append(sid)
+            s = _read(sdoc, STATION_KEYS, spath, errors,
+                      capacity_bits_per_frame=c["capacity_bits_per_frame"])
+            sids.append(s["id"])
             stations.append(SubscriberStation(
-                id=sid, cell_id=cid, capacity_c=scap, wrr_weight=weight))
+                id=s["id"], cell_id=c["id"],
+                capacity_c=s["capacity_bits_per_frame"],
+                wrr_weight=s["wrr_weight"]))
             st_specs = []
-            for k, tdoc in enumerate(tdocs):
+            for k, tdoc in enumerate(s["traffic"] or []):
                 tpath = f"{spath}.traffic[{k}]"
-                cls_name = _get(tdoc, "class", tpath, _STRING, errors)
-                pattern = _get(tdoc, "pattern", tpath, _STRING, errors)
-                rate = _get(tdoc, "rate_bits_per_s", tpath, _NUMBER, errors)
-                size = _get(tdoc, "packet_size_bits", tpath, _INT, errors)
-                start = _get(tdoc, "start_ms", tpath, _NUMBER, errors, 0.0)
-                stop = _get(tdoc, "stop_ms", tpath, _NUMBER, errors, horizon)
-                if None in (cls_name, pattern, rate, size, start, stop):
-                    continue
-                if cls_name not in CLASS_BY_NAME:
-                    errors.append(f"{tpath}.class: unknown class {cls_name!r}, "
-                                  f"expected one of {sorted(CLASS_BY_NAME)}")
-                    continue
-                if pattern not in PATTERNS:
-                    errors.append(f"{tpath}.pattern: unknown pattern "
-                                  f"{pattern!r}, expected one of {PATTERNS}")
-                    continue
+                t = _read(tdoc, TRAFFIC_KEYS, tpath, errors, stop_ms=horizon)
+                if t["class"] is not None and t["class"] not in CLASS_BY_NAME:
+                    errors.append(f"{tpath}.class: unknown class "
+                                  f"{t['class']!r}, expected one of "
+                                  f"{sorted(CLASS_BY_NAME)}")
                 st_specs.append(TrafficSpec(
-                    service_class=CLASS_BY_NAME[cls_name],
-                    pattern=pattern,
-                    rate_bits_per_s=rate,
-                    packet_size_bits=size,
-                    start_time=start,
-                    stop_time=stop))
-            specs[sid] = tuple(st_specs)
-        cells.append(Cell(id=cid, base_station_capacity=ccap,
+                    service_class=CLASS_BY_NAME.get(t["class"]),
+                    pattern=t["pattern"], rate_bits_per_s=t["rate_bits_per_s"],
+                    packet_size_bits=t["packet_size_bits"],
+                    start_time=t["start_ms"], stop_time=t["stop_ms"]))
+            specs[s["id"]] = tuple(st_specs)
+        cells.append(Cell(id=c["id"],
+                          base_station_capacity=c["capacity_bits_per_frame"],
                           station_ids=sids))
 
     if errors:
         raise ConfigError(errors)
     return Scenario(
-        name=str(name),
-        cells=cells,
-        stations=stations,
-        frame_duration=frame_ms,
-        total_frames=total_frames,
-        traffic_specs=specs,
-        seed=seed,
-        scheduler_name=str(doc.get("scheduler", "edf")),
-        ewma_alpha=alpha,
-        drop_on_miss=drop_on_miss,
-    )
+        name=top["name"], cells=cells, stations=stations,
+        frame_duration=frame_ms, total_frames=total_frames,
+        traffic_specs=specs, seed=top["seed"],
+        scheduler_name=top["scheduler"], ewma_alpha=top["ewma_alpha"],
+        drop_on_miss=top["drop_on_miss"])
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -295,7 +291,7 @@ def _parse_seeds(value: str) -> List[int]:
 
 
 def _run_to_csv(sc: Scenario, events_path: str, force: bool,
-                station_ids: List[int]) -> List:
+                station_ids: List[int]) -> Dict[str, object]:
     """Run one scenario and write its events; only the summary row outlives
     the call, so one event log is held at a time."""
     log, rec = run(sc)
@@ -337,14 +333,12 @@ def cmd_run(args) -> int:
     for sc, events_path in zip(runs, events_paths):
         rows.append(_run_to_csv(sc, events_path, args.force, station_ids))
         print(f"wrote {events_path}")
-    write_summary_csv(rows, station_ids, summary_path, force=args.force)
+    write_summary_csv(rows, summary_path, force=args.force)
     print(f"wrote {summary_path}")
 
     head = ["scenario", "policy", "seed", "throughput_bps", "delay_mean_ms",
             "delay_p95_ms", "deadline_miss_ratio", "context_switch_count"]
-    cols = summary_columns(station_ids)
-    idx = [cols.index(h) for h in head]
-    print(format_table(head, [[r[i] for i in idx] for r in rows]))
+    print(format_table(head, [[r[h] for h in head] for r in rows]))
     return EXIT_OK
 
 
@@ -372,24 +366,21 @@ def _reload_metrics(path: str, frame_duration_ms: float,
 
 
 def cmd_report(args) -> int:
-    rows = []
+    recs = []
     station_ids: List[int] = []
     for path in args.events:
         rec, ids = _reload_metrics(path, args.frame_duration_ms, args.frames)
         station_ids = sorted(set(station_ids) | set(ids))
-        rows.append((os.path.basename(path), rec))
-    head = ["file", "throughput_bps", "delay_mean_ms", "delay_p95_ms",
+        recs.append((os.path.basename(path), rec))
+    rows = [summary_row(name, "", 0, rec, station_ids) for name, rec in recs]
+    head = ["throughput_bps", "delay_mean_ms", "delay_p95_ms",
             "deadline_miss_ratio", "context_switch_count"]
-    table = [[name, rec.throughput_bps, rec.delay_ms.mean, rec.delay_ms.p95,
-              rec.deadline_miss_ratio, rec.context_switch_count]
-             for name, rec in rows]
-    print(format_table(head, table))
+    print(format_table(["file"] + head,
+                       [[r["scenario"]] + [r[h] for h in head] for r in rows]))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        out_rows = [summary_row(name, "", 0, rec, station_ids)
-                    for name, rec in rows]
         path = os.path.join(args.out, "report_summary.csv")
-        write_summary_csv(out_rows, station_ids, path, force=args.force)
+        write_summary_csv(rows, path, force=args.force)
         print(f"wrote {path}")
     return EXIT_OK
 

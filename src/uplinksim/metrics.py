@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -223,43 +223,40 @@ def write_events_csv(log: EventLog, path: str, *, force: bool = False) -> str:
     return path
 
 
-def summary_columns(station_ids: Sequence[int]) -> List[str]:
-    cols = ["scenario", "policy", "seed", "offered_load_bps",
-            "throughput_bps", "delay_mean_ms", "delay_p50_ms",
-            "delay_p95_ms", "delay_max_ms", "deadline_miss_ratio",
-            "context_switch_count"]
-    for cls in CLASS_ORDER:
-        cols.extend(f"delay_{stat}_ms_{cls}"
-                    for stat in ("mean", "p50", "p95", "max"))
-    for sid in station_ids:
-        cols.append(f"throughput_bps_station{sid}")
-    for sid in station_ids:
-        cols.append(f"max_starvation_ms_station{sid}")
-    return cols
+def _delay_columns(stats: DelayStats, suffix: str = "") -> Dict[str, float]:
+    return {f"delay_{stat}_ms{suffix}": value
+            for stat, value in asdict(stats).items()}
 
 
 def summary_row(scenario: str, policy: str, seed: int, rec: MetricsRecord,
-                station_ids: Sequence[int]) -> List:
-    row: List = [scenario, policy, seed, rec.offered_load_bps,
-                 rec.throughput_bps, rec.delay_ms.mean, rec.delay_ms.p50,
-                 rec.delay_ms.p95, rec.delay_ms.max,
-                 rec.deadline_miss_ratio, rec.context_switch_count]
+                station_ids: Sequence[int]) -> Dict[str, object]:
+    """One summary CSV row as ``{column: value}``, in column order."""
+    row: Dict[str, object] = {
+        "scenario": scenario, "policy": policy, "seed": seed,
+        "offered_load_bps": rec.offered_load_bps,
+        "throughput_bps": rec.throughput_bps,
+        **_delay_columns(rec.delay_ms),
+        "deadline_miss_ratio": rec.deadline_miss_ratio,
+        "context_switch_count": rec.context_switch_count}
     for cls in CLASS_ORDER:
-        st = rec.delay_ms_by_class.get(cls, DelayStats())
-        row.extend((st.mean, st.p50, st.p95, st.max))
+        row.update(_delay_columns(
+            rec.delay_ms_by_class.get(cls, DelayStats()), f"_{cls}"))
     for sid in station_ids:
-        row.append(rec.throughput_bps_by_station.get(sid, 0.0))
+        row[f"throughput_bps_station{sid}"] = (
+            rec.throughput_bps_by_station.get(sid, 0.0))
     for sid in station_ids:
-        row.append(rec.max_starvation_window_ms.get(sid, 0.0))
+        row[f"max_starvation_ms_station{sid}"] = (
+            rec.max_starvation_window_ms.get(sid, 0.0))
     return row
 
 
-def write_summary_csv(rows: List[List], station_ids: Sequence[int],
-                      path: str, *, force: bool = False) -> str:
+def write_summary_csv(rows: List[Dict[str, object]], path: str, *,
+                      force: bool = False) -> str:
+    """Write summary rows under the first row's columns."""
     _guard(path, force)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(summary_columns(station_ids))
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        w.writeheader()
         w.writerows(rows)
     return path
 
@@ -363,9 +360,9 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
                 [f"{path}:{reader.line_num}: malformed row: {exc}"]) from exc
     if total_frames is None:
         total_frames = frame + 1
-    if total_frames <= 0 or delta <= 0:
-        raise ConfigError([f"{path}: duration must be > 0, got {total_frames} "
-                           f"frames of {delta!r} ms"])
+    if total_frames <= 0 or not 0 < delta < math.inf:
+        raise ConfigError([f"{path}: duration must be > 0 and finite, got "
+                           f"{total_frames} frames of {delta!r} ms"])
     return EventLog(
         frame_duration_ms=delta,
         total_frames=total_frames,

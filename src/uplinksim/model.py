@@ -12,6 +12,7 @@ single-threaded engine loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
@@ -212,8 +213,9 @@ def validate_scenario(sc: Scenario) -> List[str]:
     v: List[str] = []
     if sc.total_frames <= 0:
         v.append(f"total_frames: must be > 0, got {sc.total_frames}")
-    if sc.frame_duration <= 0:
-        v.append(f"frame_duration: must be > 0, got {sc.frame_duration}")
+    if not 0 < sc.frame_duration < math.inf:
+        v.append(f"frame_duration: must be finite and > 0, "
+                 f"got {sc.frame_duration}")
     if not (0.0 < sc.ewma_alpha <= 1.0):
         v.append(f"ewma_alpha: must be in (0, 1], got {sc.ewma_alpha}")
     if not (-(2 ** 63) <= sc.seed < 2 ** 64):

@@ -93,12 +93,13 @@ def validate_spec(spec: TrafficSpec) -> List[str]:
     if spec.pattern not in PATTERNS:
         v.append(f"pattern: unknown pattern {spec.pattern!r}, "
                  f"expected one of {PATTERNS}")
-    if spec.rate_bits_per_s <= 0:
-        v.append(f"rate_bits_per_s: must be > 0, got {spec.rate_bits_per_s}")
+    if not 0 < spec.rate_bits_per_s < math.inf:
+        v.append(f"rate_bits_per_s: must be finite and > 0, "
+                 f"got {spec.rate_bits_per_s}")
     if spec.packet_size_bits <= 0:
         v.append(f"packet_size_bits: must be > 0, got {spec.packet_size_bits}")
-    if not spec.start_time < spec.stop_time:
-        v.append(f"start_time: must be < stop_time, got "
+    if not -math.inf < spec.start_time < spec.stop_time:
+        v.append(f"start_time: must be finite and < stop_time, got "
                  f"[{spec.start_time}, {spec.stop_time})")
     return v
 

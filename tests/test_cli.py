@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import re
 import textwrap
@@ -47,6 +48,17 @@ def write_config(tmp_path, doc, name="sc.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return str(path)
+
+
+def with_values(*changes):
+    """A copy of GOOD_CONFIG with each (key path, value) change applied."""
+    doc = copy.deepcopy(GOOD_CONFIG)
+    for where, value in changes:
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+    return doc
 
 
 def test_run_two_policies_same_arrivals(tmp_path, capsys):
@@ -193,20 +205,20 @@ TRAFFIC0 = STATION0 + ["traffic", 0]
     (["seed"], True, "config.seed"),
     (TRAFFIC0 + ["rate_bits_per_s"], 10 ** 400,
      "cells[0].stations[0].traffic[0].rate_bits_per_s"),
+    (["name"], None, "config.name"),
+    (["name"], 5, "config.name"),
+    (["scheduler"], 5, "config.scheduler"),
 ], ids=["drop_on_miss no", "total_frames float", "capacity float",
         "packet size float", "cells int", "cells of int", "capacity str",
         "frame_duration_ms str", "seed str", "stop_ms str", "traffic str",
-        "seed bool", "rate beyond float"])
+        "seed bool", "rate beyond float", "name null", "name int",
+        "scheduler int"])
 def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, where, value,
                                            path):
     # Each value is refused where it is read, with its path named, instead
-    # of being cast (truncated, or any string taken as true) or crashing.
-    doc = copy.deepcopy(GOOD_CONFIG)
-    parent = doc
-    for key in where[:-1]:
-        parent = parent[key]
-    parent[where[-1]] = value
-    cfg = write_config(tmp_path, doc)
+    # of being cast (truncated, None or 5 taken as a name, any string taken
+    # as true) or crashing.
+    cfg = write_config(tmp_path, with_values((where, value)))
     out = tmp_path / "out"
     assert main(["validate", cfg]) == EXIT_CONFIG
     assert main(["run", "--scenario", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -214,6 +226,91 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, where, value,
     err = capsys.readouterr().err
     assert f"{path}: expected " in err
     assert "missing required key" not in err
+
+
+@pytest.mark.parametrize("where,path", [
+    (["total_frame"], "config.total_frame"),
+    (["cells", 0, "capacity"], "cells[0].capacity"),
+    (STATION0 + ["wrr_wieght"], "cells[0].stations[0].wrr_wieght"),
+    (TRAFFIC0 + ["stop_sm"], "cells[0].stations[0].traffic[0].stop_sm"),
+], ids=["config", "cell", "station", "traffic"])
+def test_config_unknown_key_exit_2(tmp_path, capsys, where, path):
+    # A misspelt key is refused at every level, with its path named, instead
+    # of being ignored while its default applies.
+    cfg = write_config(tmp_path, with_values((where, 3)))
+    out = tmp_path / "out"
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert main(["run", "--scenario", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"{path}: unknown key" in capsys.readouterr().err
+
+
+def test_config_misspelt_nested_keys_all_reported(tmp_path, capsys):
+    # An unknown station key does not stop the read of its traffic.
+    cfg = write_config(tmp_path, with_values((STATION0 + ["wrr_wieght"], 3),
+                                             (TRAFFIC0 + ["stop_sm"], 100)))
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cells[0].stations[0].wrr_wieght: unknown key" in err
+    assert "cells[0].stations[0].traffic[0].stop_sm: unknown key" in err
+
+
+ALL_TRAFFIC = [STATION0 + ["traffic", 0], ["cells", 0, "stations", 1,
+               "traffic", 0], ["cells", 1, "stations", 0, "traffic", 0]]
+
+
+@pytest.mark.parametrize("changes,message", [
+    ([(["frame_duration_ms"], math.inf)], "frame_duration: must be finite"),
+    ([(["frame_duration_ms"], math.nan)]
+     + [(where + ["stop_ms"], 100.0) for where in ALL_TRAFFIC],
+     "frame_duration: must be finite"),
+    ([(TRAFFIC0 + ["rate_bits_per_s"], math.inf)],
+     "traffic_specs[0][0].rate_bits_per_s: must be finite"),
+    ([(TRAFFIC0 + ["start_ms"], -math.inf)],
+     "traffic_specs[0][0].start_time: must be finite"),
+    ([(TRAFFIC0 + ["start_ms"], math.nan)],
+     "traffic_specs[0][0].start_time: must be finite"),
+], ids=["frame_duration_ms inf", "frame_duration_ms nan, stop_ms set",
+        "rate inf", "start_ms -inf", "start_ms nan"])
+def test_config_non_finite_number_exit_2(tmp_path, capsys, changes, message):
+    # Only validation runs here: each of these scenarios used to validate
+    # and then start a run that never ended or died in a traceback.
+    cfg = write_config(tmp_path, with_values(*changes))
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_config_stop_ms_may_be_infinite(tmp_path, capsys):
+    cfg = write_config(tmp_path, with_values((TRAFFIC0 + ["stop_ms"],
+                                              math.inf)))
+    assert main(["validate", cfg]) == EXIT_OK
+    doc = yaml.safe_load(capsys.readouterr().out)
+    assert doc["cells"][0]["stations"][0]["traffic"][0]["stop_ms"] == math.inf
+
+
+def test_validate_round_trips_every_key(tmp_path, capsys):
+    # A config that sets every key of every level reads back as itself, so
+    # validate writes exactly what the reader reads.
+    traffic = {"class": "ertPS", "pattern": "poisson",
+               "rate_bits_per_s": 48000.0, "packet_size_bits": 600,
+               "start_ms": 10.0, "stop_ms": 1500.0}
+    station = {"id": 4, "capacity_bits_per_frame": 900, "wrr_weight": 3,
+               "traffic": [traffic]}
+    cell = {"id": 2, "capacity_bits_per_frame": 1000, "stations": [station]}
+    doc = {"name": "full", "frame_duration_ms": 2.5, "total_frames": 800,
+           "seed": 9, "scheduler": "wrr", "ewma_alpha": 0.25,
+           "drop_on_miss": True, "cells": [cell]}
+    for level, table in [(doc, cli.CONFIG_KEYS), (cell, cli.CELL_KEYS),
+                         (station, cli.STATION_KEYS),
+                         (traffic, cli.TRAFFIC_KEYS)]:
+        assert set(level) == set(table)
+    assert main(["validate", write_config(tmp_path, doc)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert yaml.safe_load(text) == doc
+    again = tmp_path / "again.yaml"
+    again.write_text(text)
+    assert main(["validate", str(again)]) == EXIT_OK
+    assert capsys.readouterr().out == text
 
 
 def documented_scenarios():
@@ -304,6 +401,17 @@ def test_report_header_only_without_frames_exit_2(tmp_path, capsys):
     path.write_text("frame,time_ms,event,cell,station,request,bits\n")
     assert main(["report", str(path)]) == EXIT_CONFIG
     assert "duration must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frame_ms", ["nan", "inf"])
+def test_report_non_finite_frame_duration_exit_2(tmp_path, capsys, frame_ms):
+    path = tmp_path / "empty.events.csv"
+    path.write_text("frame,time_ms,event,cell,station,request,bits\n")
+    assert main(["report", str(path), "--frames", "5",
+                 "--frame-duration-ms", frame_ms]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "duration must be > 0 and finite" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("text,message", [

@@ -8,9 +8,8 @@ from uplinksim.metrics import (CLASS_ORDER, DelayStats, MetricsRecord,
                                compute_metrics, compute_starvation_windows,
                                count_context_switches, delay_stats,
                                format_table, load_events_csv,
-                               parse_summary_csv, summary_columns,
-                               summary_row, write_events_csv,
-                               write_summary_csv)
+                               parse_summary_csv, summary_row,
+                               write_events_csv, write_summary_csv)
 from uplinksim.model import (ConfigError, ServiceClass, canonical_scenario,
                              make_request)
 from conftest import starvation_windows_oracle
@@ -43,10 +42,12 @@ def test_throughput_empty():
 
 
 def test_throughput_duration_contract(tmp_path):
-    # A reloaded log must span at least one frame of positive duration.
+    # A reloaded log must span at least one frame of positive, finite
+    # duration.
     path = write_events_csv(synthetic_log([]), str(tmp_path / "empty.csv"))
-    for kwargs in ({}, {"total_frames": 0}, {"total_frames": 10,
-                                             "frame_duration_ms": 0.0}):
+    for kwargs in ({}, {"total_frames": 0},
+                   *({"total_frames": 10, "frame_duration_ms": delta}
+                     for delta in (0.0, float("nan"), float("inf")))):
         with pytest.raises(ConfigError, match="duration must be > 0"):
             load_events_csv(path, **kwargs)
 
@@ -238,8 +239,7 @@ def test_summary_round_trip_exact(tmp_path):
     log, rec = run(sc)
     row = summary_row(log.scenario_name, log.policy_name, log.seed, rec,
                       log.station_ids)
-    summary_path = write_summary_csv([row], log.station_ids,
-                                     str(tmp_path / "r1.summary.csv"))
+    summary_path = write_summary_csv([row], str(tmp_path / "r1.summary.csv"))
     rows = parse_summary_csv(summary_path)
     assert len(rows) == 1
     back = record_from_summary(rows[0], log.station_ids)
@@ -313,7 +313,8 @@ def test_load_events_csv_accepts_csv_variants_and_shares_values(tmp_path):
 
 
 def test_summary_columns_stable():
-    cols = summary_columns([0, 1])
+    rec = compute_metrics(synthetic_log([], stations=(0, 1)))
+    cols = list(summary_row("s", "edf", 1, rec, [0, 1]))
     assert cols[0:3] == ["scenario", "policy", "seed"]
     assert "delay_mean_ms_rtPS" in cols
     assert cols.index("throughput_bps_station0") < \
