@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .model import (ConfigError, Request, Scenario, SubscriberStation,
                     validate_scenario)
@@ -119,59 +119,62 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
 
     policies = {c.id: make_policy(scenario.scheduler_name, c, by_id, delta)
                 for c in cells}
-    policy_of_station = {sid: policies[cid] for sid, cid in cell_of.items()}
+    on_arrival = {sid: policies[cid].on_arrival
+                  for sid, cid in cell_of.items()}
+    cell_runs = [(c.id, c.base_station_capacity, policies[c.id])
+                 for c in cells]
 
     alpha = scenario.ewma_alpha
     drop = scenario.drop_on_miss
     miss_heap: List[Tuple[float, int, Request]] = []
+    # Completion boundary by request id, until the request's miss check.
     completed_at: Dict[int, float] = {}
     # Per cell: (last granted request, was it incomplete after that grant);
     # the context-switch rule of metrics.count_context_switches.
-    prev_grant: Dict[int, Tuple[Request, bool]] = {}
-    served_frame: Dict[int, int] = {}
+    prev_grant: Dict[int, Tuple[Optional[Request], bool]] = {}
+    served_frame: Dict[int, int] = {s.id: 0 for s in stations}
 
     for f in range(n_frames):
         now = f * delta
         boundary = now + delta
 
         for r in buckets[f]:
+            sid = r.station_id
             log.requests[r.id] = r
-            policy_of_station[r.station_id].on_arrival(r)
-            ev((f, r.arrival_time, "arrival", cell_of[r.station_id],
-                r.station_id, r.id, r.size_bits))
+            on_arrival[sid](r)
+            ev((f, r.arrival_time, "arrival", cell_of[sid], sid, r.id,
+                r.size_bits))
             heapq.heappush(miss_heap, (r.deadline, r.id, r))
 
-        for cell in cells:
-            grants = policies[cell.id].allocate_frame(
-                f, now, cell.base_station_capacity)
+        for cid, capacity, policy in cell_runs:
+            grants = policy.allocate_frame(f, now, capacity)
             if not grants:
                 continue
             total = 0
-            cid = cell.id
+            prev, prev_open = prev_grant.get(cid, (None, False))
             for r, bits in grants:
                 total += bits
-                prev = prev_grant.get(cid)
-                if prev is not None and prev[0] is not r and prev[1]:
-                    p = prev[0]
-                    ev((f, boundary, "context_switch", cid, p.station_id,
-                        p.id, 0))
+                if prev_open and prev is not r:
+                    ev((f, boundary, "context_switch", cid, prev.station_id,
+                        prev.id, 0))
                 done = apply_grant(r, bits)
-                served_frame[r.station_id] = (
-                    served_frame.get(r.station_id, 0) + bits)
-                ev((f, boundary, "grant", cid, r.station_id, r.id, bits))
-                prev_grant[cid] = (r, not done)
+                sid = r.station_id
+                served_frame[sid] += bits
+                ev((f, boundary, "grant", cid, sid, r.id, bits))
+                prev, prev_open = r, not done
                 if done:
                     completed_at[r.id] = boundary
-                    ev((f, boundary, "completion", cid, r.station_id, r.id,
+                    ev((f, boundary, "completion", cid, sid, r.id,
                         r.size_bits))
-            if total > cell.base_station_capacity:
+            prev_grant[cid] = (prev, prev_open)
+            if total > capacity:
                 raise InvariantError(
                     f"cell {cid} granted {total} bits in frame {f}, "
-                    f"capacity {cell.base_station_capacity}")
+                    f"capacity {capacity}")
 
         while miss_heap and miss_heap[0][0] < boundary:
             _, _, r = heapq.heappop(miss_heap)
-            done_at = completed_at.get(r.id)
+            done_at = completed_at.pop(r.id, None)
             if done_at is not None and done_at <= r.deadline:
                 continue
             rem = r.size_bits - r.served_bits
@@ -181,9 +184,10 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                 r.dropped = True
 
         for st in stations:
+            sid = st.id
             st.historical_throughput = update_historical_throughput(
-                st.historical_throughput, served_frame.get(st.id, 0), alpha)
-        served_frame.clear()
+                st.historical_throughput, served_frame[sid], alpha)
+            served_frame[sid] = 0
 
     log.final_station_throughput = {
         s.id: s.historical_throughput for s in stations}

@@ -30,29 +30,27 @@ class ConfigError(Exception):
 
 
 class ServiceClass(Enum):
-    """MAC service classes, ordered from most to least latency-sensitive."""
+    """MAC service classes, ordered from most to least latency-sensitive.
 
-    UGS = "UGS"
-    ERTPS = "ertPS"
-    RTPS = "rtPS"
-    NRTPS = "nrtPS"
-    BE = "BE"
+    ``deadline_offset_ms`` is the static deadline offset: a request is due
+    this long after arrival. Real-time classes get tight deadlines, best
+    effort a very loose one; the wide rtPS/BE gap is what makes plain
+    deadline ordering starve BE stations. It is a plain attribute of each
+    member, so reading it hashes nothing.
+    """
 
-    @property
-    def deadline_offset_ms(self) -> float:
-        """Static deadline offset: a request is due this long after arrival."""
-        return _DEADLINE_OFFSET_MS[self]
+    UGS = "UGS", 5.0
+    ERTPS = "ertPS", 10.0
+    RTPS = "rtPS", 20.0
+    NRTPS = "nrtPS", 200.0
+    BE = "BE", 1000.0
 
+    def __new__(cls, value: str, deadline_offset_ms: float):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.deadline_offset_ms = deadline_offset_ms
+        return member
 
-# Real-time classes get tight deadlines, best effort a very loose one; the
-# wide rtPS/BE gap is what makes plain deadline ordering starve BE stations.
-_DEADLINE_OFFSET_MS: Dict[ServiceClass, float] = {
-    ServiceClass.UGS: 5.0,
-    ServiceClass.ERTPS: 10.0,
-    ServiceClass.RTPS: 20.0,
-    ServiceClass.NRTPS: 200.0,
-    ServiceClass.BE: 1000.0,
-}
 
 CLASS_BY_NAME: Dict[str, ServiceClass] = {c.value: c for c in ServiceClass}
 
@@ -79,14 +77,8 @@ class Request:
 def make_request(req_id: int, station_id: int, service_class: ServiceClass,
                  arrival_time: float, size_bits: int) -> Request:
     """Build a request with the class-derived deadline."""
-    return Request(
-        id=req_id,
-        station_id=station_id,
-        service_class=service_class,
-        arrival_time=arrival_time,
-        size_bits=size_bits,
-        deadline=arrival_time + service_class.deadline_offset_ms,
-    )
+    return Request(req_id, station_id, service_class, arrival_time,
+                   size_bits, arrival_time + service_class.deadline_offset_ms)
 
 
 @dataclass(slots=True)

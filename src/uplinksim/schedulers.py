@@ -161,7 +161,7 @@ class RoundRobinPolicy(SchedulerPolicy):
                     queue.popleft()
                     continue
                 rem = r.size_bits - r.served_bits
-                g = min(rem, cap)
+                g = rem if rem < cap else cap
                 grants.append((r, g))
                 cap -= g
                 served_any = True
@@ -221,7 +221,7 @@ class EarliestDeadlineFirstPolicy(SchedulerPolicy):
                 heapq.heappop(heap)
                 continue
             rem = r.size_bits - r.served_bits
-            g = min(rem, cap)
+            g = rem if rem < cap else cap
             grants.append((r, g))
             cap -= g
             if g == rem:
@@ -238,6 +238,7 @@ class _StationHeapPolicy(SchedulerPolicy):
         super().__init__(cell, stations, frame_duration_ms)
         self._heaps: Dict[int, List[_HeapEntry]] = {
             sid: [] for sid in cell.station_ids}
+        self._ids = sorted(cell.station_ids)
 
     def on_arrival(self, request: Request) -> None:
         heapq.heappush(self._heaps[request.station_id], _entry(request))
@@ -248,19 +249,20 @@ class _StationHeapPolicy(SchedulerPolicy):
             heapq.heappop(heap)
         return heap[0][3] if heap else None
 
-    def _ranked_stations(self) -> List[int]:
-        """The cell's stations in descending fairness priority; ties go to
-        the lower station id. Priorities only move at frame end (the
-        throughput EWMA), so one ranking serves a whole frame; callers skip
-        stations whose head is None."""
-        ranked = []
-        for sid in self.cell.station_ids:
-            st = self.stations[sid]
-            ranked.append(
-                (-ssbpf_priority(st.capacity_c, st.historical_throughput),
-                 sid))
-        ranked.sort()
-        return [sid for _, sid in ranked]
+    def _ranked_stations(self, also: Optional[int] = None) -> List[int]:
+        """The stations that hold requests, and station ``also``, in
+        descending fairness priority, ties to the lower id (a stable sort of
+        ascending ids). Priorities only move at frame end (the throughput
+        EWMA), so one ranking serves a whole frame if it holds every station
+        that can gain a request in the frame; callers skip stations whose
+        head is None."""
+        heaps = self._heaps
+        ranked = [sid for sid in self._ids if heaps[sid] or sid == also]
+        if len(ranked) > 1:
+            st = self.stations
+            ranked.sort(key=lambda sid: -ssbpf_priority(
+                st[sid].capacity_c, st[sid].historical_throughput))
+        return ranked
 
     def _service_ms(self, r: Request) -> float:
         """Remaining service time at the owning station's capacity."""
@@ -288,7 +290,7 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
                 if r is None:
                     break
                 rem = r.size_bits - r.served_bits
-                g = min(rem, cap)
+                g = rem if rem < cap else cap
                 grants.append((r, g))
                 cap -= g
                 if g == rem:
@@ -328,10 +330,13 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
                        capacity: int) -> Grants:
         grants: Grants = []
         cap = capacity
-        ranked = self._ranked_stations()
         cur = self._current
         if cur is not None and cur.dropped:
             cur = None
+        # A SWITCH pushes cur back onto its station's heap mid-frame, so that
+        # station is ranked even when its heap is empty now.
+        ranked = self._ranked_stations(
+            None if cur is None else cur.station_id)
         while cap > 0:
             if cur is None:
                 cur = self._candidate(ranked)
@@ -359,7 +364,7 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
                                        _entry(cur))
                         cur = cand
             rem = cur.size_bits - cur.served_bits
-            g = min(rem, cap)
+            g = rem if rem < cap else cap
             grants.append((cur, g))
             cap -= g
             if g == rem:

@@ -20,13 +20,22 @@ run seed ``s`` starts from
                 XOR ((k + 1) * 0xC2B2AE3D27D4EB4F)) mod 2^64
 so per-station streams are independent: changing one station's spec never
 perturbs another station's arrivals.
+
+Order contract: a station's requests are ordered by arrival time, equal times
+by source index (a source emits in time order); ids are assigned after this
+merge, so they rise along it. A scenario's requests are ordered by arrival
+time, then station id, then id. Each order is one stable sort on the arrival
+time alone: of the sources concatenated in index order, and of the stations
+concatenated in id order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from itertools import count, islice
+from operator import attrgetter
+from typing import Dict, Iterator, List, Tuple
 
 from .model import (Cell, ConfigError, Request, Scenario, ServiceClass,
                     SubscriberStation, make_request)
@@ -104,6 +113,31 @@ def validate_spec(spec: TrafficSpec) -> List[str]:
     return v
 
 
+def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
+            source_index: int) -> Iterator[Request]:
+    """The requests of one source in time order, built as they are drawn."""
+    end = min(spec.stop_time, horizon)
+    cls, size = spec.service_class, spec.packet_size_bits
+    if spec.pattern == "constant_rate":
+        interval_ms = size / spec.rate_bits_per_s * 1000.0
+        for rid in count():
+            t = spec.start_time + rid * interval_ms
+            if t >= end:
+                return
+            yield make_request(rid, station_id, cls, t, size)
+    elif spec.pattern == "poisson":
+        rng = stream_rng(seed, station_id, source_index)
+        mean_ms = 1000.0 / spec.packets_per_s
+        t = spec.start_time + (-math.log(rng.next_unit())) * mean_ms
+        rid = 0
+        while t < end:
+            yield make_request(rid, station_id, cls, t, size)
+            rid += 1
+            t += (-math.log(rng.next_unit())) * mean_ms
+    else:
+        raise ValueError(f"unknown traffic pattern {spec.pattern!r}")
+
+
 def generate(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
              *, source_index: int = 0) -> List[Request]:
     """Emit the time-ordered requests of one source up to ``horizon`` ms.
@@ -113,32 +147,7 @@ def generate(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
     draws exponential inter-arrivals at the same mean rate from the seeded
     generator. Deadlines follow the service class offset. Ids count from 0.
     """
-    end = min(spec.stop_time, horizon)
-    out: List[Request] = []
-    rid = 0
-    if spec.pattern == "constant_rate":
-        interval_ms = spec.packet_size_bits / spec.rate_bits_per_s * 1000.0
-        k = 0
-        while True:
-            t = spec.start_time + k * interval_ms
-            if t >= end:
-                break
-            out.append(make_request(rid, station_id, spec.service_class,
-                                    t, spec.packet_size_bits))
-            rid += 1
-            k += 1
-    elif spec.pattern == "poisson":
-        rng = stream_rng(seed, station_id, source_index)
-        mean_ms = 1000.0 / spec.packets_per_s
-        t = spec.start_time + (-math.log(rng.next_unit())) * mean_ms
-        while t < end:
-            out.append(make_request(rid, station_id, spec.service_class,
-                                    t, spec.packet_size_bits))
-            rid += 1
-            t += (-math.log(rng.next_unit())) * mean_ms
-    else:
-        raise ValueError(f"unknown traffic pattern {spec.pattern!r}")
-    return out
+    return list(_source(spec, station_id, seed, horizon, source_index))
 
 
 def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,
@@ -148,22 +157,21 @@ def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,
     Ids are assigned after the merge from the station's private namespace, so
     they are stable for a fixed (specs, seed, station) triple. A station that
     would emit more requests than its namespace holds raises ConfigError
-    rather than reuse the next station's ids.
+    rather than reuse the next station's ids; generation stops at the first
+    request past the namespace.
     """
-    tagged: List[Tuple[float, int, Request]] = []
+    out: List[Request] = []
     for k, spec in enumerate(specs):
-        for r in generate(spec, station_id, seed, horizon, source_index=k):
-            tagged.append((r.arrival_time, k, r))
-    if len(tagged) > IDS_PER_STATION:
-        raise ConfigError([
-            f"traffic_specs[{station_id}]: {len(tagged)} requests exceed the "
-            f"{IDS_PER_STATION} request ids of one station"])
-    tagged.sort(key=lambda item: (item[0], item[1]))
+        out.extend(islice(_source(spec, station_id, seed, horizon, k),
+                          IDS_PER_STATION + 1 - len(out)))
+        if len(out) > IDS_PER_STATION:
+            raise ConfigError([
+                f"traffic_specs[{station_id}]: requests exceed the "
+                f"{IDS_PER_STATION} request ids of one station"])
+    out.sort(key=attrgetter("arrival_time"))  # stable: ties by source
     base = station_id * IDS_PER_STATION
-    out = []
-    for n, (_, _, r) in enumerate(tagged):
+    for n, r in enumerate(out):
         r.id = base + n
-        out.append(r)
     return out
 
 
@@ -171,11 +179,11 @@ def build_requests(sc: Scenario) -> List[Request]:
     """All requests of a scenario, ordered by (arrival, station, id)."""
     horizon = sc.duration_ms
     everything: List[Request] = []
-    for st in sc.stations:
+    for st in sorted(sc.stations, key=attrgetter("id")):
         specs = sc.traffic_specs.get(st.id, ())
         if specs:
             everything.extend(generate_station(specs, st.id, sc.seed, horizon))
-    everything.sort(key=lambda r: (r.arrival_time, r.station_id, r.id))
+    everything.sort(key=attrgetter("arrival_time"))  # ties: station, id
     return everything
 
 

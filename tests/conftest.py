@@ -1,12 +1,15 @@
 """Shared test helpers: a minimal single-cell policy harness that mimics the
 engine's grant application without events or metrics, a linear-scan EDF
-oracle, and a per-(station, frame) starvation-window oracle."""
+oracle, a per-(station, frame) starvation-window oracle, and a tuple-keyed
+traffic oracle."""
 
-from typing import Dict, List, Optional, Sequence
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from uplinksim.model import (Cell, Request, ServiceClass, SubscriberStation,
-                             make_request)
+from uplinksim.model import (Cell, ConfigError, Request, Scenario,
+                             ServiceClass, SubscriberStation, make_request)
 from uplinksim.schedulers import Grants, SchedulerPolicy, make_policy
+from uplinksim.traffic import IDS_PER_STATION, TrafficSpec, stream_rng
 
 
 def edf_select(candidates: Sequence[Request]) -> Request:
@@ -119,3 +122,87 @@ class PolicyHarness:
             assert 0 < bits <= r.size_bits - r.served_bits
             r.served_bits += bits
         return grants
+
+
+# Traffic oracle: the generators as first written, one sort on explicit
+# (time, source) keys per station and one on (arrival, station, id) keys per
+# scenario. traffic.py orders by stable sorts on the arrival time alone; the
+# ordering property in test_fuzz.py holds it to these.
+
+
+def oracle_generate(spec: TrafficSpec, station_id: int, seed: int,
+                    horizon: float, *, source_index: int = 0) -> List[Request]:
+    """Emit the time-ordered requests of one source up to ``horizon`` ms.
+
+    constant_rate places packets at exact multiples of
+    packet_size_bits / rate_bits_per_s starting at ``start_time``; poisson
+    draws exponential inter-arrivals at the same mean rate from the seeded
+    generator. Deadlines follow the service class offset. Ids count from 0.
+    """
+    end = min(spec.stop_time, horizon)
+    out: List[Request] = []
+    rid = 0
+    if spec.pattern == "constant_rate":
+        interval_ms = spec.packet_size_bits / spec.rate_bits_per_s * 1000.0
+        k = 0
+        while True:
+            t = spec.start_time + k * interval_ms
+            if t >= end:
+                break
+            out.append(make_request(rid, station_id, spec.service_class,
+                                    t, spec.packet_size_bits))
+            rid += 1
+            k += 1
+    elif spec.pattern == "poisson":
+        rng = stream_rng(seed, station_id, source_index)
+        mean_ms = 1000.0 / spec.packets_per_s
+        t = spec.start_time + (-math.log(rng.next_unit())) * mean_ms
+        while t < end:
+            out.append(make_request(rid, station_id, spec.service_class,
+                                    t, spec.packet_size_bits))
+            rid += 1
+            t += (-math.log(rng.next_unit())) * mean_ms
+    else:
+        raise ValueError(f"unknown traffic pattern {spec.pattern!r}")
+    return out
+
+
+def oracle_generate_station(specs: Tuple[TrafficSpec, ...],
+                            station_id: int, seed: int,
+                            horizon: float) -> List[Request]:
+    """Merge all of one station's sources into a single time-ordered stream.
+
+    Ids are assigned after the merge from the station's private namespace, so
+    they are stable for a fixed (specs, seed, station) triple. A station that
+    would emit more requests than its namespace holds raises ConfigError
+    rather than reuse the next station's ids.
+    """
+    tagged: List[Tuple[float, int, Request]] = []
+    for k, spec in enumerate(specs):
+        for r in oracle_generate(spec, station_id, seed, horizon,
+                                 source_index=k):
+            tagged.append((r.arrival_time, k, r))
+    if len(tagged) > IDS_PER_STATION:
+        raise ConfigError([
+            f"traffic_specs[{station_id}]: {len(tagged)} requests exceed the "
+            f"{IDS_PER_STATION} request ids of one station"])
+    tagged.sort(key=lambda item: (item[0], item[1]))
+    base = station_id * IDS_PER_STATION
+    out = []
+    for n, (_, _, r) in enumerate(tagged):
+        r.id = base + n
+        out.append(r)
+    return out
+
+
+def oracle_build_requests(sc: Scenario) -> List[Request]:
+    """All requests of a scenario, ordered by (arrival, station, id)."""
+    horizon = sc.duration_ms
+    everything: List[Request] = []
+    for st in sc.stations:
+        specs = sc.traffic_specs.get(st.id, ())
+        if specs:
+            everything.extend(oracle_generate_station(specs, st.id, sc.seed,
+                                                      horizon))
+    everything.sort(key=lambda r: (r.arrival_time, r.station_id, r.id))
+    return everything

@@ -5,17 +5,18 @@ and overload."""
 import os
 import tempfile
 from collections import defaultdict
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import starvation_windows_oracle
+from conftest import oracle_build_requests, starvation_windows_oracle
 from uplinksim.engine import run
 from uplinksim.metrics import (compute_metrics, compute_starvation_windows,
                                count_context_switches, load_events_csv,
                                write_events_csv)
 from uplinksim.model import Cell, Scenario, ServiceClass, SubscriberStation
 from uplinksim.schedulers import POLICY_NAMES
-from uplinksim.traffic import PATTERNS, TrafficSpec
+from uplinksim.traffic import PATTERNS, TrafficSpec, build_requests
 
 specs = st.builds(
     TrafficSpec,
@@ -121,3 +122,46 @@ def test_csv_reload_reproduces_metrics(sc):
                 rec.max_starvation_window_ms[sid]
     assert set(back.throughput_bps_by_station) <= set(log.station_ids)
     assert set(back.max_starvation_window_ms) <= set(log.station_ids)
+
+
+# Few start times and rates, so arrival times often tie within a station
+# (two equal constant-rate sources) and across stations.
+tie_prone_specs = st.builds(
+    TrafficSpec,
+    service_class=st.sampled_from(list(ServiceClass)),
+    pattern=st.sampled_from(PATTERNS),
+    rate_bits_per_s=st.sampled_from([32_000.0, 64_000.0, 128_000.0]),
+    packet_size_bits=st.sampled_from([400, 800, 1600]),
+    start_time=st.sampled_from([0, 0.0, -0.0, 2.5, 12.5]),
+)
+
+
+@st.composite
+def traffic_scenarios(draw):
+    """Stations listed in a drawn order with drawn ids, 1-3 sources each;
+    sometimes the first is constant-rate and followed by a twin that differs
+    only in class, so every arrival of the pair ties."""
+    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=5,
+                        unique=True))
+    stations, traffic = [], {}
+    for sid in ids:
+        stations.append(SubscriberStation(id=sid, cell_id=0, capacity_c=1000))
+        specs = draw(st.lists(tie_prone_specs, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            first = replace(specs[0], pattern="constant_rate")
+            specs[:1] = [first, replace(first, service_class=draw(
+                st.sampled_from(list(ServiceClass))))]
+        traffic[sid] = tuple(specs)
+    return Scenario(
+        name="traffic", cells=[Cell(0, 1000, sorted(ids))],
+        stations=stations, frame_duration=5.0,
+        total_frames=draw(st.integers(1, 400)), traffic_specs=traffic,
+        seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sc=traffic_scenarios())
+def test_request_order_and_fields_match_tuple_keyed_oracle(sc):
+    # repr shows every field and tells 0 from 0.0 and -0.0.
+    assert [repr(r) for r in build_requests(sc)] == \
+        [repr(r) for r in oracle_build_requests(sc)]

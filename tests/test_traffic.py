@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 from uplinksim import traffic
@@ -113,6 +116,42 @@ def test_station_request_id_overflow_rejected(monkeypatch):
     assert [r.id for r in reqs] == list(range(10, 20))
     with pytest.raises(ConfigError, match="traffic_specs\\[1\\]"):
         generate_station((spec,), station_id=1, seed=1, horizon=125.1)
+
+
+def test_request_id_overflow_refused_before_building_the_list(monkeypatch):
+    # 80,000 packets/s for 60 s would be 4.8 million requests; generation
+    # stops at the eleventh.
+    monkeypatch.setattr(traffic, "IDS_PER_STATION", 10)
+    spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
+                       rate_bits_per_s=6.4e7, packet_size_bits=800)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ConfigError, match="traffic_specs\\[1\\]"):
+            generate_station((spec,), station_id=1, seed=1, horizon=60_000.0)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2 ** 20
+
+
+def test_equal_times_in_one_station_take_ids_in_source_order():
+    # Two sources with one start and one 12.5 ms interval: every arrival
+    # time ties, and the class tells the sources apart.
+    specs = (
+        TrafficSpec(service_class=BE, pattern="constant_rate",
+                    rate_bits_per_s=128_000.0, packet_size_bits=1600),
+        TrafficSpec(service_class=RTPS, pattern="constant_rate",
+                    rate_bits_per_s=64_000.0, packet_size_bits=800),
+    )
+    reqs = generate_station(specs, station_id=2, seed=1, horizon=100.0)
+    assert len(reqs) == 16
+    assert [r.id for r in reqs] == list(range(2_000_000, 2_000_016))
+    for first, second in zip(reqs[::2], reqs[1::2]):
+        assert first.arrival_time == second.arrival_time
+        assert (first.service_class, second.service_class) == (BE, RTPS)
 
 
 def test_validate_spec_messages():
