@@ -70,7 +70,8 @@ from .metrics import (MetricsRecord, _guard, compute_metrics, format_table,
                       load_events_csv, summary_row, write_events_csv,
                       write_summary_csv)
 from .model import (CLASS_BY_NAME, Cell, ConfigError, Scenario,
-                    SubscriberStation, canonical_scenario, validate_scenario)
+                    ServiceClass, SubscriberStation, canonical_scenario,
+                    validate_scenario)
 from .schedulers import POLICY_NAMES
 from .traffic import TrafficSpec, starvation_scenario
 
@@ -91,67 +92,96 @@ _INT = ("an integer", int)
 _NUMBER = ("a number", (int, float))
 _BOOL = ("true or false", bool)
 _STRING = ("a string", str)
+_CLASS = ("a string", str)  # a service class name, read as the ServiceClass
 _MAPPINGS = ("a list of mappings", list)
 _REQUIRED = object()
 
-# One table per level of the scenario file: key -> (kind, default). A default
-# that depends on the enclosing level (the file stem, the cell's capacity,
-# the run end) is passed to _read by the caller.
-CONFIG_KEYS = {"name": (_STRING, _REQUIRED),
-               "frame_duration_ms": (_NUMBER, _REQUIRED),
-               "total_frames": (_INT, _REQUIRED),
-               "seed": (_INT, 1),
-               "scheduler": (_STRING, "edf"),
-               "ewma_alpha": (_NUMBER, 0.1),
-               "drop_on_miss": (_BOOL, False),
-               "cells": (_MAPPINGS, _REQUIRED)}
-CELL_KEYS = {"id": (_INT, _REQUIRED),
-             "capacity_bits_per_frame": (_INT, _REQUIRED),
-             "stations": (_MAPPINGS, [])}
-STATION_KEYS = {"id": (_INT, _REQUIRED),
-                "capacity_bits_per_frame": (_INT, _REQUIRED),
-                "wrr_weight": (_INT, None),
-                "traffic": (_MAPPINGS, [])}
-TRAFFIC_KEYS = {"class": (_STRING, _REQUIRED),
-                "pattern": (_STRING, _REQUIRED),
-                "rate_bits_per_s": (_NUMBER, _REQUIRED),
-                "packet_size_bits": (_INT, _REQUIRED),
-                "start_ms": (_NUMBER, 0.0),
-                "stop_ms": (_NUMBER, _REQUIRED)}
+# One table per level of the scenario file: key -> (kind, default, field).
+# The field is the model attribute the key fills: a keyword of Scenario,
+# Cell, SubscriberStation or TrafficSpec. It is None for the key that holds
+# the next level's list, whose entries are read with the next table. A
+# default that depends on the enclosing level (the file stem, the cell's
+# capacity, the run end) is passed to _read by the caller.
+CONFIG_KEYS = {"name": (_STRING, _REQUIRED, "name"),
+               "frame_duration_ms": (_NUMBER, _REQUIRED, "frame_duration"),
+               "total_frames": (_INT, _REQUIRED, "total_frames"),
+               "seed": (_INT, 1, "seed"),
+               "scheduler": (_STRING, "edf", "scheduler_name"),
+               "ewma_alpha": (_NUMBER, 0.1, "ewma_alpha"),
+               "drop_on_miss": (_BOOL, False, "drop_on_miss"),
+               "cells": (_MAPPINGS, _REQUIRED, None)}
+CELL_KEYS = {"id": (_INT, _REQUIRED, "id"),
+             "capacity_bits_per_frame": (_INT, _REQUIRED,
+                                         "base_station_capacity"),
+             "stations": (_MAPPINGS, [], None)}
+STATION_KEYS = {"id": (_INT, _REQUIRED, "id"),
+                "capacity_bits_per_frame": (_INT, _REQUIRED, "capacity_c"),
+                "wrr_weight": (_INT, None, "wrr_weight"),
+                "traffic": (_MAPPINGS, [], None)}
+TRAFFIC_KEYS = {"class": (_CLASS, _REQUIRED, "service_class"),
+                "pattern": (_STRING, _REQUIRED, "pattern"),
+                "rate_bits_per_s": (_NUMBER, _REQUIRED, "rate_bits_per_s"),
+                "packet_size_bits": (_INT, _REQUIRED, "packet_size_bits"),
+                "start_ms": (_NUMBER, 0.0, "start_time"),
+                "stop_ms": (_NUMBER, _REQUIRED, "stop_time")}
 
 
 def _read(doc: dict, table: dict, path: str, errors: List[str],
-          **defaults) -> dict:
-    """Every key of ``table`` with its value in ``doc`` (a number comes back
-    as a float) or its default. A key the table lacks, a missing required
-    key and a value of the wrong kind each add an error naming its path;
-    the last two read as None."""
+          **defaults) -> Tuple[dict, list]:
+    """One level of the scenario file: ``fields`` holds each key's value in
+    ``doc`` (a number as a float, a class name as its ServiceClass) or its
+    default, by model field; ``children`` is the list under the list key. A
+    key the table lacks, a missing required key, a value of the wrong kind
+    and then an unknown class each add an error naming its path."""
     errors.extend(f"{path}.{key}: unknown key" for key in doc
                   if key not in table)
-    out = {}
-    for key, (kind, default) in table.items():
+    fields, children, class_errors = {}, [], []
+    for key, (kind, default, field) in table.items():
         if key not in doc:
-            out[key] = defaults.get(key, default)
-            if out[key] is _REQUIRED:
+            value = defaults.get(key, default)
+            if value is _REQUIRED:
                 errors.append(f"{path}.{key}: missing required key")
-                out[key] = None
-            continue
-        value = doc[key]
-        name, types = kind
-        ok = isinstance(value, types) and (
-            kind is _BOOL or not isinstance(value, bool))
-        if ok and kind is _MAPPINGS:
-            ok = all(isinstance(item, dict) for item in value)
-        if ok and kind is _NUMBER:
-            try:
-                value = float(value)
-            except OverflowError:  # an int beyond the float range
-                ok = False
-        if not ok:
-            errors.append(f"{path}.{key}: expected {name}, got {value!r}")
-            value = None
-        out[key] = value
-    return out
+                value = None
+        else:
+            value = doc[key]
+            name, types = kind
+            ok = isinstance(value, types) and (
+                kind is _BOOL or not isinstance(value, bool))
+            if ok and kind is _MAPPINGS:
+                ok = all(isinstance(item, dict) for item in value)
+            if ok and kind is _NUMBER:
+                try:
+                    value = float(value)
+                except OverflowError:  # an int beyond the float range
+                    ok = False
+            if not ok:
+                errors.append(f"{path}.{key}: expected {name}, got {value!r}")
+                value = None
+            elif kind is _CLASS:
+                if value not in CLASS_BY_NAME:
+                    class_errors.append(
+                        f"{path}.{key}: unknown class {value!r}, expected "
+                        f"one of {sorted(CLASS_BY_NAME)}")
+                value = CLASS_BY_NAME.get(value)
+        if field is None:
+            children = value or []
+        else:
+            fields[field] = value
+    errors.extend(class_errors)
+    return fields, children
+
+
+def _dump(obj, table: dict, children: list = ()) -> dict:
+    """The inverse of _read; a field that is None (an unset ``wrr_weight``)
+    is left out."""
+    doc = {}
+    for key, (_, _, field) in table.items():
+        value = children if field is None else getattr(obj, field)
+        if isinstance(value, ServiceClass):
+            value = value.value
+        if value is not None:
+            doc[key] = value
+    return doc
 
 
 def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
@@ -161,8 +191,9 @@ def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
     errors: List[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["config: top level must be a mapping"])
-    top = _read(doc, CONFIG_KEYS, "config", errors, name=default_name)
-    frame_ms, total_frames = top["frame_duration_ms"], top["total_frames"]
+    top, cell_docs = _read(doc, CONFIG_KEYS, "config", errors,
+                           name=default_name)
+    frame_ms, total_frames = top["frame_duration"], top["total_frames"]
     horizon = float("inf")
     if frame_ms is not None and total_frames is not None:
         horizon = frame_ms * total_frames
@@ -170,84 +201,42 @@ def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
     cells: List[Cell] = []
     stations: List[SubscriberStation] = []
     specs: Dict[int, Tuple[TrafficSpec, ...]] = {}
-    for i, cdoc in enumerate(top["cells"] or []):
+    for i, cdoc in enumerate(cell_docs):
         cpath = f"cells[{i}]"
-        c = _read(cdoc, CELL_KEYS, cpath, errors)
+        cell, station_docs = _read(cdoc, CELL_KEYS, cpath, errors)
         sids = []
-        for j, sdoc in enumerate(c["stations"] or []):
+        for j, sdoc in enumerate(station_docs):
             spath = f"{cpath}.stations[{j}]"
-            s = _read(sdoc, STATION_KEYS, spath, errors,
-                      capacity_bits_per_frame=c["capacity_bits_per_frame"])
-            sids.append(s["id"])
-            stations.append(SubscriberStation(
-                id=s["id"], cell_id=c["id"],
-                capacity_c=s["capacity_bits_per_frame"],
-                wrr_weight=s["wrr_weight"]))
-            st_specs = []
-            for k, tdoc in enumerate(s["traffic"] or []):
-                tpath = f"{spath}.traffic[{k}]"
-                t = _read(tdoc, TRAFFIC_KEYS, tpath, errors, stop_ms=horizon)
-                if t["class"] is not None and t["class"] not in CLASS_BY_NAME:
-                    errors.append(f"{tpath}.class: unknown class "
-                                  f"{t['class']!r}, expected one of "
-                                  f"{sorted(CLASS_BY_NAME)}")
-                st_specs.append(TrafficSpec(
-                    service_class=CLASS_BY_NAME.get(t["class"]),
-                    pattern=t["pattern"], rate_bits_per_s=t["rate_bits_per_s"],
-                    packet_size_bits=t["packet_size_bits"],
-                    start_time=t["start_ms"], stop_time=t["stop_ms"]))
-            specs[s["id"]] = tuple(st_specs)
-        cells.append(Cell(id=c["id"],
-                          base_station_capacity=c["capacity_bits_per_frame"],
-                          station_ids=sids))
+            st, traffic_docs = _read(
+                sdoc, STATION_KEYS, spath, errors,
+                capacity_bits_per_frame=cell["base_station_capacity"])
+            sids.append(st["id"])
+            stations.append(SubscriberStation(cell_id=cell["id"], **st))
+            specs[st["id"]] = tuple(
+                TrafficSpec(**_read(tdoc, TRAFFIC_KEYS,
+                                    f"{spath}.traffic[{k}]", errors,
+                                    stop_ms=horizon)[0])
+                for k, tdoc in enumerate(traffic_docs))
+        cells.append(Cell(station_ids=sids, **cell))
 
     if errors:
         raise ConfigError(errors)
-    return Scenario(
-        name=top["name"], cells=cells, stations=stations,
-        frame_duration=frame_ms, total_frames=total_frames,
-        traffic_specs=specs, seed=top["seed"],
-        scheduler_name=top["scheduler"], ewma_alpha=top["ewma_alpha"],
-        drop_on_miss=top["drop_on_miss"])
+    return Scenario(cells=cells, stations=stations, traffic_specs=specs,
+                    **top)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Resolved effective configuration, ready for YAML dumping."""
-    cells = []
     by_cell: Dict[int, List[SubscriberStation]] = {}
     for st in sc.stations:
         by_cell.setdefault(st.cell_id, []).append(st)
-    for cell in sc.cells:
-        sdocs = []
-        for st in by_cell.get(cell.id, []):
-            tdocs = []
-            for spec in sc.traffic_specs.get(st.id, ()):
-                tdocs.append({
-                    "class": spec.service_class.value,
-                    "pattern": spec.pattern,
-                    "rate_bits_per_s": spec.rate_bits_per_s,
-                    "packet_size_bits": spec.packet_size_bits,
-                    "start_ms": spec.start_time,
-                    "stop_ms": spec.stop_time,
-                })
-            sdoc = {"id": st.id, "capacity_bits_per_frame": st.capacity_c,
-                    "traffic": tdocs}
-            if st.wrr_weight is not None:
-                sdoc["wrr_weight"] = st.wrr_weight
-            sdocs.append(sdoc)
-        cells.append({"id": cell.id,
-                      "capacity_bits_per_frame": cell.base_station_capacity,
-                      "stations": sdocs})
-    return {
-        "name": sc.name,
-        "frame_duration_ms": sc.frame_duration,
-        "total_frames": sc.total_frames,
-        "seed": sc.seed,
-        "scheduler": sc.scheduler_name,
-        "ewma_alpha": sc.ewma_alpha,
-        "drop_on_miss": sc.drop_on_miss,
-        "cells": cells,
-    }
+    return _dump(sc, CONFIG_KEYS, [
+        _dump(cell, CELL_KEYS, [
+            _dump(st, STATION_KEYS, [
+                _dump(spec, TRAFFIC_KEYS)
+                for spec in sc.traffic_specs.get(st.id, ())])
+            for st in by_cell.get(cell.id, [])])
+        for cell in sc.cells])
 
 
 def load_scenario(ref: str, *, total_frames: Optional[int] = None,

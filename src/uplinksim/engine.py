@@ -16,6 +16,12 @@ logged once as a deadline_miss. A deadline exactly on a boundary is still
 pending at that boundary. Missed requests stay queued and are served late,
 unless the scenario sets ``drop_on_miss``, which marks them dropped.
 
+The engine needs no completion times for this. Before allocating a frame
+it takes each request whose deadline is before the frame's closing boundary
+and that is not yet complete; after the grants it logs each as a miss with
+its remainder. Such a deadline is not before the frame's opening boundary,
+so the request met it exactly when it completed before this frame.
+
 Event records are 7-tuples ``(frame, time_ms, event, cell, station, request,
 bits)``. Arrivals carry their true arrival time; grant, completion,
 deadline_miss and context_switch records are stamped at the closing boundary
@@ -127,8 +133,8 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     alpha = scenario.ewma_alpha
     drop = scenario.drop_on_miss
     miss_heap: List[Tuple[float, int, Request]] = []
-    # Completion boundary by request id, until the request's miss check.
-    completed_at: Dict[int, float] = {}
+    # The frame's due requests that were not complete when it opened.
+    late: List[Request] = []
     # Per cell: (last granted request, was it incomplete after that grant);
     # the context-switch rule of metrics.count_context_switches.
     prev_grant: Dict[int, Tuple[Optional[Request], bool]] = {}
@@ -145,6 +151,12 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
             ev((f, r.arrival_time, "arrival", cell_of[sid], sid, r.id,
                 r.size_bits))
             heapq.heappush(miss_heap, (r.deadline, r.id, r))
+
+        late.clear()
+        while miss_heap and miss_heap[0][0] < boundary:
+            r = heapq.heappop(miss_heap)[2]
+            if r.served_bits < r.size_bits:
+                late.append(r)
 
         for cid, capacity, policy in cell_runs:
             grants = policy.allocate_frame(f, now, capacity)
@@ -163,7 +175,6 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                 ev((f, boundary, "grant", cid, sid, r.id, bits))
                 prev, prev_open = r, not done
                 if done:
-                    completed_at[r.id] = boundary
                     ev((f, boundary, "completion", cid, sid, r.id,
                         r.size_bits))
             prev_grant[cid] = (prev, prev_open)
@@ -172,11 +183,7 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                     f"cell {cid} granted {total} bits in frame {f}, "
                     f"capacity {capacity}")
 
-        while miss_heap and miss_heap[0][0] < boundary:
-            _, _, r = heapq.heappop(miss_heap)
-            done_at = completed_at.pop(r.id, None)
-            if done_at is not None and done_at <= r.deadline:
-                continue
+        for r in late:
             rem = r.size_bits - r.served_bits
             ev((f, boundary, "deadline_miss", cell_of[r.station_id],
                 r.station_id, r.id, rem))

@@ -108,6 +108,24 @@ def _entry(r: Request) -> _HeapEntry:
     return (r.deadline, r.arrival_time, r.id, r)
 
 
+def _serve(heap: List[_HeapEntry], cap: int, grants: Grants) -> int:
+    """Grant from ``heap`` in EDF order until it empties or ``cap`` runs
+    out, discarding dropped requests; returns the capacity left. A partial
+    grant leaves its request on top."""
+    while cap > 0 and heap:
+        r = heap[0][3]
+        if r.dropped:
+            heapq.heappop(heap)
+            continue
+        rem = r.size_bits - r.served_bits
+        g = rem if rem < cap else cap
+        grants.append((r, g))
+        cap -= g
+        if g == rem:
+            heapq.heappop(heap)
+    return cap
+
+
 class SchedulerPolicy:
     """Base class wiring a policy to one cell of one run."""
 
@@ -213,20 +231,7 @@ class EarliestDeadlineFirstPolicy(SchedulerPolicy):
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
         grants: Grants = []
-        cap = capacity
-        heap = self._heap
-        while cap > 0 and heap:
-            r = heap[0][3]
-            if r.dropped:
-                heapq.heappop(heap)
-                continue
-            rem = r.size_bits - r.served_bits
-            g = rem if rem < cap else cap
-            grants.append((r, g))
-            cap -= g
-            if g == rem:
-                heapq.heappop(heap)
-            # else: capacity exhausted; the partial request stays on top
+        _serve(self._heap, capacity, grants)
         return grants
 
 
@@ -284,17 +289,7 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
         grants: Grants = []
         cap = capacity
         for sid in self._ranked_stations():
-            heap = self._heaps[sid]
-            while cap > 0:
-                r = self._head(sid)
-                if r is None:
-                    break
-                rem = r.size_bits - r.served_bits
-                g = rem if rem < cap else cap
-                grants.append((r, g))
-                cap -= g
-                if g == rem:
-                    heapq.heappop(heap)
+            cap = _serve(self._heaps[sid], cap, grants)
             if cap == 0:
                 break
         return grants

@@ -115,7 +115,14 @@ def validate_spec(spec: TrafficSpec) -> List[str]:
 
 def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
             source_index: int) -> Iterator[Request]:
-    """The requests of one source in time order, built as they are drawn."""
+    """The requests of one source up to ``horizon`` ms in time order, built
+    as they are drawn.
+
+    constant_rate places packets at exact multiples of
+    packet_size_bits / rate_bits_per_s starting at ``start_time``; poisson
+    draws exponential inter-arrivals at the same mean rate from the seeded
+    generator. Deadlines follow the service class offset. Ids count from 0.
+    """
     end = min(spec.stop_time, horizon)
     cls, size = spec.service_class, spec.packet_size_bits
     if spec.pattern == "constant_rate":
@@ -136,18 +143,6 @@ def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
             t += (-math.log(rng.next_unit())) * mean_ms
     else:
         raise ValueError(f"unknown traffic pattern {spec.pattern!r}")
-
-
-def generate(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
-             *, source_index: int = 0) -> List[Request]:
-    """Emit the time-ordered requests of one source up to ``horizon`` ms.
-
-    constant_rate places packets at exact multiples of
-    packet_size_bits / rate_bits_per_s starting at ``start_time``; poisson
-    draws exponential inter-arrivals at the same mean rate from the seeded
-    generator. Deadlines follow the service class offset. Ids count from 0.
-    """
-    return list(_source(spec, station_id, seed, horizon, source_index))
 
 
 def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,

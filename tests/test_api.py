@@ -1,6 +1,9 @@
 """The package's public surface is pinned, so a name cannot join or leave
 it unnoticed."""
 
+import ast
+from pathlib import Path
+
 import uplinksim
 
 PUBLIC = [
@@ -24,3 +27,48 @@ def test_every_public_name_imports():
     exec("from uplinksim import *", namespace)
     for name in PUBLIC:
         assert namespace[name] is getattr(uplinksim, name)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "uplinksim"
+PERFBENCH = ROOT / "perfbench"
+
+
+def top_level_names(tree):
+    """The functions, classes and constants a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def used_names(tree):
+    """Every name a module reads, as a variable, an attribute or a string
+    (perfbench looks functions up by name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_defined_name_is_used():
+    # No unused helpers: each top-level name in src/ is used in src/, is
+    # public, or is looked up by the benchmark. Imports are not uses.
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert trees
+    used = {name for tree in trees.values() for name in used_names(tree)}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used.update(used_names(ast.parse(path.read_text())))
+    unused = sorted(
+        f"{path.stem}.{name}" for path, tree in trees.items()
+        for name in top_level_names(tree)
+        if name not in used and name not in uplinksim.__all__
+        and not (name.startswith("__") and name.endswith("__")))
+    assert unused == []

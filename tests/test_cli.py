@@ -228,6 +228,19 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, where, value,
     assert "missing required key" not in err
 
 
+def test_config_unknown_class_reported_after_its_entry(tmp_path, capsys):
+    # A class name is looked up once its whole traffic entry has been read,
+    # so its error follows the entry's other errors.
+    cfg = write_config(tmp_path, with_values(
+        (TRAFFIC0 + ["class"], "XX"), (TRAFFIC0 + ["packet_size_bits"], 0.5)))
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    path = "invalid: cells[0].stations[0].traffic[0]"
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}.packet_size_bits: expected an integer, got 0.5",
+        f"{path}.class: unknown class 'XX', expected one of "
+        "['BE', 'UGS', 'ertPS', 'nrtPS', 'rtPS']"]
+
+
 @pytest.mark.parametrize("where,path", [
     (["total_frame"], "config.total_frame"),
     (["cells", 0, "capacity"], "cells[0].capacity"),

@@ -210,17 +210,23 @@ def test_events_time_ordered():
     assert times == sorted(times)
 
 
-def test_late_request_still_served():
+@pytest.mark.parametrize("drop_on_miss", [False, True])
+def test_late_request_still_served(drop_on_miss):
     # Overload then drain: both requests complete even though one misses.
-    sc = single_cell_scenario(capacity=500, frames=30)
+    # Request 1 completes at 10.0, in the frame whose closing boundary first
+    # passes its 8.0 deadline: a miss with nothing left to serve, so
+    # drop_on_miss has nothing to drop.
+    sc = single_cell_scenario(capacity=500, frames=30,
+                              drop_on_miss=drop_on_miss)
     log = simulate(sc, requests_for(sc, [
         (0, 0, RTPS, 0.0, 1000),
         (1, 0, RTPS, 0.0, 1000, 8.0),
     ]))
-    assert len(list(log.iter_events("completion"))) == 2
+    assert [e[5] for e in log.iter_events("completion")] == [1, 0]
     misses = list(log.iter_events("deadline_miss"))
     assert [e[5] for e in misses] == [1]
     assert misses[0][1] == 10.0  # first boundary past the 8.0 deadline
+    assert misses[0][6] == 0
 
 
 def test_throughput_history_matches_repeated_op_application():

@@ -5,9 +5,8 @@ import pytest
 
 from uplinksim import traffic
 from uplinksim.model import ConfigError, ServiceClass
-from uplinksim.traffic import (SplitMix64, TrafficSpec, generate,
-                               generate_station, starvation_scenario,
-                               stream_rng, validate_spec)
+from uplinksim.traffic import (SplitMix64, TrafficSpec, generate_station,
+                               starvation_scenario, stream_rng, validate_spec)
 
 RTPS = ServiceClass.RTPS
 BE = ServiceClass.BE
@@ -33,7 +32,7 @@ def test_constant_rate_spec_rate_arithmetic():
     spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
                        rate_bits_per_s=64_000.0, packet_size_bits=800,
                        start_time=0.0, stop_time=10_000.0)
-    reqs = generate(spec, station_id=0, seed=1, horizon=1000.0)
+    reqs = generate_station((spec,), station_id=0, seed=1, horizon=1000.0)
     assert len(reqs) == 80
     for k, r in enumerate(reqs):
         assert r.arrival_time == k * 12.5
@@ -43,7 +42,7 @@ def test_constant_rate_spec_rate_arithmetic():
 def test_zero_horizon_empty():
     spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
                        rate_bits_per_s=64_000.0, packet_size_bits=800)
-    assert generate(spec, 0, 1, 0.0) == []
+    assert generate_station((spec,), 0, 1, 0.0) == []
 
 
 def test_poisson_mean_interarrival_within_5_percent():
@@ -51,7 +50,8 @@ def test_poisson_mean_interarrival_within_5_percent():
     spec = TrafficSpec(service_class=BE, pattern="poisson",
                        rate_bits_per_s=800_000.0, packet_size_bits=800,
                        start_time=0.0, stop_time=float("inf"))
-    reqs = generate(spec, station_id=3, seed=99, horizon=60_000.0)
+    reqs = generate_station((spec,), station_id=3, seed=99,
+                            horizon=60_000.0)
     assert len(reqs) > 10_000
     gaps = [b.arrival_time - a.arrival_time
             for a, b in zip(reqs[:10_000], reqs[1:10_001])]
@@ -62,8 +62,8 @@ def test_poisson_mean_interarrival_within_5_percent():
 def test_generator_determinism():
     spec = TrafficSpec(service_class=BE, pattern="poisson",
                        rate_bits_per_s=32_000.0, packet_size_bits=1600)
-    a = generate(spec, 5, 1234, 30_000.0)
-    b = generate(spec, 5, 1234, 30_000.0)
+    a = generate_station((spec,), 5, 1234, 30_000.0)
+    b = generate_station((spec,), 5, 1234, 30_000.0)
     assert [(r.arrival_time, r.size_bits, r.deadline) for r in a] == \
            [(r.arrival_time, r.size_bits, r.deadline) for r in b]
 
@@ -88,7 +88,7 @@ def test_deadline_law_every_request():
     for cls in (RTPS, BE):
         spec = TrafficSpec(service_class=cls, pattern="poisson",
                            rate_bits_per_s=100_000.0, packet_size_bits=1000)
-        for r in generate(spec, 2, 7, 5_000.0):
+        for r in generate_station((spec,), 2, 7, 5_000.0):
             assert r.deadline == r.arrival_time + cls.deadline_offset_ms
 
 
