@@ -3,9 +3,8 @@ deadline-driven and fairness-aware bandwidth scheduling policies on
 throughput, delay, deadline misses, starvation and context switches."""
 
 from .model import (Cell, ConfigError, Request, Scenario, ServiceClass,
-                    SubscriberStation, canonical_scenario, make_request,
-                    validate_scenario)
-from .traffic import TrafficSpec, starvation_scenario
+                    SubscriberStation, TrafficSpec, canonical_scenario,
+                    make_request, starvation_scenario, validate_scenario)
 from .schedulers import (POLICY_NAMES, Outcome, SchedulerDecision,
                          claim_value, hedf_decide, ssbpf_priority,
                          update_historical_throughput)

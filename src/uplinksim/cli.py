@@ -70,10 +70,10 @@ from .metrics import (MetricsRecord, _guard, compute_metrics, format_table,
                       load_events_csv, summary_row, write_events_csv,
                       write_summary_csv)
 from .model import (CLASS_BY_NAME, Cell, ConfigError, Scenario,
-                    ServiceClass, SubscriberStation, canonical_scenario,
+                    ServiceClass, SubscriberStation, TrafficSpec,
+                    canonical_scenario, starvation_scenario,
                     validate_scenario)
 from .schedulers import POLICY_NAMES
-from .traffic import TrafficSpec, starvation_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -415,9 +415,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for v in exc.violations:
             print(f"error: {v}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -5,7 +5,12 @@ frame to their cell's policy (at the frame start, so a request can be served
 in its arrival frame), (2) let every policy grant its cell's capacity as
 ``(request, bits)`` pairs, (3) apply the grants,
 (4) record completions and deadline misses at the closing frame boundary,
-(5) fold the frame's served bits into each station's smoothed throughput.
+(5) fold each station's served bits of the frame into its smoothed
+throughput (one ``update_historical_throughput`` step, 0 bits for a station
+not served). The smoothed throughputs start at 0.0 and are the run's own:
+one ``{station id: bits/frame}`` dict that ``simulate`` keeps and the
+policies rank by; the log keeps its end-of-run values as
+``final_station_throughput``.
 
 Frame ``f`` opens at ``f*delta`` and closes at ``f*delta + delta``, computed
 as exactly these float expressions (see ``metrics.load_events_csv``).
@@ -29,9 +34,9 @@ of their frame, which keeps the log time-ordered. The ``bits`` column holds
 the request size for arrivals and completions, the granted bits for grants,
 the unserved remainder for deadline misses, and 0 for context switches.
 
-A run never mutates its Scenario: stations are cloned and requests are
-regenerated from the scenario seed, so running the same scenario twice gives
-byte-identical logs.
+A run never mutates its Scenario, whose values are frozen: the run's state
+is the requests, regenerated from the scenario seed, and the throughput
+dict, so running the same scenario twice gives byte-identical logs.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .model import (ConfigError, Request, Scenario, SubscriberStation,
-                    validate_scenario)
+from .model import ConfigError, Request, Scenario, validate_scenario
 from .schedulers import make_policy, update_historical_throughput
 from .traffic import build_requests
 
@@ -59,12 +63,8 @@ class EventLog:
 
     frame_duration_ms: float
     total_frames: int
-    scenario_name: str = ""
-    policy_name: str = ""
-    seed: int = 0
     drop_on_miss: bool = False
     station_ids: List[int] = field(default_factory=list)
-    cell_capacity: Dict[int, int] = field(default_factory=dict)
     events: List[tuple] = field(default_factory=list)
     # Request objects by id; for logs reloaded from CSV this holds the
     # lighter ReqInfo view (see metrics.load_events_csv).
@@ -100,20 +100,17 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     """Run the frame loop over an explicit, time-ordered request list."""
     delta = scenario.frame_duration
     n_frames = scenario.total_frames
-    stations = scenario.fresh_stations()
-    by_id: Dict[int, SubscriberStation] = {s.id: s for s in stations}
+    stations = scenario.stations
+    by_id = {s.id: s for s in stations}
     cell_of: Dict[int, int] = {s.id: s.cell_id for s in stations}
     cells = scenario.cells
+    throughput: Dict[int, float] = {s.id: 0.0 for s in stations}
 
     log = EventLog(
         frame_duration_ms=delta,
         total_frames=n_frames,
-        scenario_name=scenario.name,
-        policy_name=scenario.scheduler_name,
-        seed=scenario.seed,
         drop_on_miss=scenario.drop_on_miss,
         station_ids=[s.id for s in stations],
-        cell_capacity={c.id: c.base_station_capacity for c in cells},
     )
     ev = log.events.append
 
@@ -123,7 +120,8 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
         if 0 <= f < n_frames:
             buckets[f].append(r)
 
-    policies = {c.id: make_policy(scenario.scheduler_name, c, by_id, delta)
+    policies = {c.id: make_policy(scenario.scheduler_name, c, by_id,
+                                  throughput, delta)
                 for c in cells}
     on_arrival = {sid: policies[cid].on_arrival
                   for sid, cid in cell_of.items()}
@@ -190,14 +188,14 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
             if drop and rem > 0:
                 r.dropped = True
 
-        for st in stations:
-            sid = st.id
-            st.historical_throughput = update_historical_throughput(
-                st.historical_throughput, served_frame[sid], alpha)
+        for sid, served in served_frame.items():
+            throughput[sid] = update_historical_throughput(
+                throughput[sid], served, alpha)
             served_frame[sid] = 0
 
-    log.final_station_throughput = {
-        s.id: s.historical_throughput for s in stations}
+    # A copy: keeping the dict made before the loop alive with the log raised
+    # canonical_cli peak RSS by 9% through allocator layout alone.
+    log.final_station_throughput = dict(throughput)
     return log
 
 

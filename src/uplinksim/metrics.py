@@ -366,7 +366,6 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
     return EventLog(
         frame_duration_ms=delta,
         total_frames=total_frames,
-        scenario_name=os.path.basename(path),
         station_ids=sorted({e[4] for e in events}),
         events=events,
         requests=requests,

@@ -6,19 +6,19 @@ Subscriber stations send deadline-tagged bandwidth requests; each cell's
 scheduling policy keeps the waiting requests in its own queues and decides
 which are served each frame (see ``schedulers``).
 
-Everything here is a plain value type. All mutation happens inside the
-single-threaded engine loop.
+This module is the whole scenario model. Every value a ``Scenario`` holds
+(cells, stations, traffic sources) is a frozen dataclass defined here, and
+no code changes the lists and dict that hold them, so a run cannot change
+its scenario. A run's own state lives in the engine: the progress of each
+``Request`` and each station's smoothed throughput.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
-
-if TYPE_CHECKING:  # avoids a circular import; TrafficSpec lives in traffic.py
-    from .traffic import TrafficSpec
+from typing import Dict, List, Optional, Tuple
 
 
 class ConfigError(Exception):
@@ -81,24 +81,23 @@ def make_request(req_id: int, station_id: int, service_class: ServiceClass,
                    size_bits, arrival_time + service_class.deadline_offset_ms)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SubscriberStation:
     """A client node sending requests to its cell's base station.
 
     ``capacity_c`` is the station's transmission capacity in bits per frame;
     it feeds the proportional-fairness priority and service-time estimates.
-    ``historical_throughput`` is the exponentially smoothed bits-per-frame
-    this station has recently been served.
+    The smoothed throughput that priority also reads is run state, kept by
+    the engine per run (see ``engine.simulate``).
     """
 
     id: int
     cell_id: int
     capacity_c: int
-    historical_throughput: float = 0.0
     wrr_weight: Optional[int] = None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One base station and the stations it serves."""
 
@@ -107,7 +106,42 @@ class Cell:
     station_ids: List[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
+class TrafficSpec:
+    """One traffic source attached to a station."""
+
+    service_class: ServiceClass
+    pattern: str  # "constant_rate" | "poisson"
+    rate_bits_per_s: float
+    packet_size_bits: int
+    start_time: float = 0.0  # ms
+    stop_time: float = float("inf")  # ms
+
+    @property
+    def packets_per_s(self) -> float:
+        return self.rate_bits_per_s / self.packet_size_bits
+
+
+PATTERNS = ("constant_rate", "poisson")
+
+
+def validate_spec(spec: TrafficSpec) -> List[str]:
+    v = []
+    if spec.pattern not in PATTERNS:
+        v.append(f"pattern: unknown pattern {spec.pattern!r}, "
+                 f"expected one of {PATTERNS}")
+    if not 0 < spec.rate_bits_per_s < math.inf:
+        v.append(f"rate_bits_per_s: must be finite and > 0, "
+                 f"got {spec.rate_bits_per_s}")
+    if spec.packet_size_bits <= 0:
+        v.append(f"packet_size_bits: must be > 0, got {spec.packet_size_bits}")
+    if not -math.inf < spec.start_time < spec.stop_time:
+        v.append(f"start_time: must be finite and < stop_time, got "
+                 f"[{spec.start_time}, {spec.stop_time})")
+    return v
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Full description of one simulation run.
 
@@ -121,7 +155,7 @@ class Scenario:
     stations: List[SubscriberStation]
     frame_duration: float  # ms
     total_frames: int
-    traffic_specs: Dict[int, Tuple["TrafficSpec", ...]]
+    traffic_specs: Dict[int, Tuple[TrafficSpec, ...]]
     seed: int
     scheduler_name: str = "edf"
     ewma_alpha: float = 0.1
@@ -130,10 +164,6 @@ class Scenario:
     @property
     def duration_ms(self) -> float:
         return self.total_frames * self.frame_duration
-
-    def fresh_stations(self) -> List[SubscriberStation]:
-        """Per-run copies so a run never mutates the scenario itself."""
-        return [replace(s) for s in self.stations]
 
 
 # Canonical topology: 7 cells, 2 stations each, one base station per cell.
@@ -154,8 +184,6 @@ def canonical_scenario(*, seed: int = 1, scheduler_name: str = "edf",
     best-effort background, so deadline-ordered policies are regularly
     interrupted mid-request and context-switch behaviour is observable.
     """
-    from .traffic import TrafficSpec  # deferred: traffic imports this module
-
     horizon = total_frames * DEFAULT_FRAME_MS
     cells: List[Cell] = []
     stations: List[SubscriberStation] = []
@@ -193,6 +221,54 @@ def canonical_scenario(*, seed: int = 1, scheduler_name: str = "edf",
     )
 
 
+# Starvation demonstration: station A's real-time load exceeds the cell
+# capacity by OVERLOAD_FACTOR, so its backlog (and the lag of its oldest
+# deadline) grows without bound. Station B wakes up with one best-effort
+# packet every BE_PERIOD_MS; under plain deadline order each successive
+# packet waits longer than the one before, while fairness-aware policies
+# serve it within a frame or two.
+STARVATION_CELL_CAPACITY = 4000  # bits/frame
+OVERLOAD_FACTOR = 1.2
+STARVATION_RTPS_PACKET = 4000  # bits
+STARVATION_BE_PACKET = 1600  # bits
+BE_PERIOD_MS = 15_000.0
+
+
+def starvation_scenario(*, seed: int = 1, scheduler_name: str = "edf",
+                        total_frames: int = 12_000) -> Scenario:
+    """One cell, two stations: overloaded rtPS vs sparse best effort."""
+    horizon = total_frames * DEFAULT_FRAME_MS
+    frames_per_s = 1000.0 / DEFAULT_FRAME_MS
+    rtps_rate = OVERLOAD_FACTOR * STARVATION_CELL_CAPACITY * frames_per_s
+    stations = [
+        SubscriberStation(id=0, cell_id=0, capacity_c=STARVATION_CELL_CAPACITY),
+        SubscriberStation(id=1, cell_id=0, capacity_c=STARVATION_CELL_CAPACITY),
+    ]
+    specs: Dict[int, Tuple[TrafficSpec, ...]] = {
+        0: (TrafficSpec(service_class=ServiceClass.RTPS,
+                        pattern="constant_rate",
+                        rate_bits_per_s=rtps_rate,
+                        packet_size_bits=STARVATION_RTPS_PACKET,
+                        start_time=0.0, stop_time=horizon),),
+        1: (TrafficSpec(service_class=ServiceClass.BE,
+                        pattern="constant_rate",
+                        rate_bits_per_s=STARVATION_BE_PACKET / (BE_PERIOD_MS / 1000.0),
+                        packet_size_bits=STARVATION_BE_PACKET,
+                        start_time=0.0, stop_time=horizon),),
+    }
+    return Scenario(
+        name="starvation",
+        cells=[Cell(id=0, base_station_capacity=STARVATION_CELL_CAPACITY,
+                    station_ids=[0, 1])],
+        stations=stations,
+        frame_duration=DEFAULT_FRAME_MS,
+        total_frames=total_frames,
+        traffic_specs=specs,
+        seed=seed,
+        scheduler_name=scheduler_name,
+    )
+
+
 def validate_scenario(sc: Scenario) -> List[str]:
     """Check every model invariant; returns all violations, not just the first.
 
@@ -200,7 +276,6 @@ def validate_scenario(sc: Scenario) -> List[str]:
     actionable from the command line.
     """
     from .schedulers import POLICY_NAMES  # deferred: schedulers imports model
-    from .traffic import validate_spec
 
     v: List[str] = []
     if sc.total_frames <= 0:
@@ -236,9 +311,6 @@ def validate_scenario(sc: Scenario) -> List[str]:
             seen_stations[st.id] = i
         if st.capacity_c <= 0:
             v.append(f"stations[{i}].capacity_c: must be > 0, got {st.capacity_c}")
-        if st.historical_throughput < 0:
-            v.append(f"stations[{i}].historical_throughput: must be >= 0, "
-                     f"got {st.historical_throughput}")
         if st.cell_id not in seen_cells:
             v.append(f"stations[{i}].cell_id: no such cell {st.cell_id}")
         if st.wrr_weight is not None and st.wrr_weight < 1:

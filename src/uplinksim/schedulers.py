@@ -4,10 +4,10 @@ A policy instance is owned by exactly one cell of one run and owns that
 cell's request queues. The engine hands it every arrival through
 :meth:`SchedulerPolicy.on_arrival`; each frame, ``allocate_frame`` returns
 the grants as ``(request, bits)`` pairs, which the engine applies after
-the call returns. Policies never mutate requests or stations, may keep state
-across frames, and hold only live requests: a request leaves its queue when
-all of its bits are granted, and a request the engine dropped (drop-on-miss)
-is discarded when the policy next reaches it.
+the call returns. Policies never mutate requests, may keep state across
+frames, and hold only live requests: a request leaves its queue when all of
+its bits are granted, and a request the engine dropped (drop-on-miss) is
+discarded when the policy next reaches it.
 
 Once a request is granted in a frame, the policy does not look at it again
 in that frame, so no policy needs to know when the engine applies grants. A
@@ -31,6 +31,11 @@ The five policies:
               scheduler projects when the would-be next task could finish if
               the current one ran to completion first, and switches only if
               that projection overshoots the next task's deadline.
+
+``ssbpf_edf`` and ``hedf`` rank stations by the smoothed throughputs of the
+run: a ``{station id: bits/frame}`` dict that the engine owns, passes to
+every policy through ``make_policy`` and updates at each frame end. A policy
+only reads it.
 """
 
 from __future__ import annotations
@@ -132,9 +137,9 @@ class SchedulerPolicy:
     name = "base"
 
     def __init__(self, cell: Cell, stations: Dict[int, SubscriberStation],
-                 frame_duration_ms: float):
-        self.cell = cell
+                 throughput: Dict[int, float], frame_duration_ms: float):
         self.stations = stations
+        self.throughput = throughput
         self.frame_duration_ms = frame_duration_ms
 
     def on_arrival(self, request: Request) -> None:
@@ -150,8 +155,8 @@ class RoundRobinPolicy(SchedulerPolicy):
 
     name = "rr"
 
-    def __init__(self, cell, stations, frame_duration_ms):
-        super().__init__(cell, stations, frame_duration_ms)
+    def __init__(self, cell, stations, throughput, frame_duration_ms):
+        super().__init__(cell, stations, throughput, frame_duration_ms)
         self._order = list(cell.station_ids)
         self._ptr = 0
         self._queues: Dict[int, Deque[Request]] = {
@@ -201,8 +206,8 @@ class WeightedRoundRobinPolicy(RoundRobinPolicy):
 
     name = "wrr"
 
-    def __init__(self, cell, stations, frame_duration_ms):
-        super().__init__(cell, stations, frame_duration_ms)
+    def __init__(self, cell, stations, throughput, frame_duration_ms):
+        super().__init__(cell, stations, throughput, frame_duration_ms)
         min_c = min(stations[sid].capacity_c for sid in self._order)
         for sid in self._order:
             st = stations[sid]
@@ -221,8 +226,8 @@ class EarliestDeadlineFirstPolicy(SchedulerPolicy):
 
     name = "edf"
 
-    def __init__(self, cell, stations, frame_duration_ms):
-        super().__init__(cell, stations, frame_duration_ms)
+    def __init__(self, cell, stations, throughput, frame_duration_ms):
+        super().__init__(cell, stations, throughput, frame_duration_ms)
         self._heap: List[_HeapEntry] = []
 
     def on_arrival(self, request: Request) -> None:
@@ -239,8 +244,8 @@ class _StationHeapPolicy(SchedulerPolicy):
     """Shared machinery: one deadline heap per station, dropped requests
     discarded lazily on inspection."""
 
-    def __init__(self, cell, stations, frame_duration_ms):
-        super().__init__(cell, stations, frame_duration_ms)
+    def __init__(self, cell, stations, throughput, frame_duration_ms):
+        super().__init__(cell, stations, throughput, frame_duration_ms)
         self._heaps: Dict[int, List[_HeapEntry]] = {
             sid: [] for sid in cell.station_ids}
         self._ids = sorted(cell.station_ids)
@@ -264,9 +269,9 @@ class _StationHeapPolicy(SchedulerPolicy):
         heaps = self._heaps
         ranked = [sid for sid in self._ids if heaps[sid] or sid == also]
         if len(ranked) > 1:
-            st = self.stations
+            st, th = self.stations, self.throughput
             ranked.sort(key=lambda sid: -ssbpf_priority(
-                st[sid].capacity_c, st[sid].historical_throughput))
+                st[sid].capacity_c, th[sid]))
         return ranked
 
     def _service_ms(self, r: Request) -> float:
@@ -309,8 +314,8 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
 
     name = "hedf"
 
-    def __init__(self, cell, stations, frame_duration_ms):
-        super().__init__(cell, stations, frame_duration_ms)
+    def __init__(self, cell, stations, throughput, frame_duration_ms):
+        super().__init__(cell, stations, throughput, frame_duration_ms)
         self._current: Optional[Request] = None
 
     def _candidate(self, ranked: List[int]) -> Optional[Request]:
@@ -379,10 +384,11 @@ POLICY_NAMES = tuple(sorted(POLICIES))
 
 def make_policy(name: str, cell: Cell,
                 stations: Dict[int, SubscriberStation],
+                throughput: Dict[int, float],
                 frame_duration_ms: float) -> SchedulerPolicy:
     try:
         cls = POLICIES[name]
     except KeyError:
         raise ValueError(f"unknown policy {name!r}; "
                          f"expected one of {POLICY_NAMES}") from None
-    return cls(cell, stations, frame_duration_ms)
+    return cls(cell, stations, throughput, frame_duration_ms)

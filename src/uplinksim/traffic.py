@@ -32,13 +32,11 @@ concatenated in id order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, islice
 from operator import attrgetter
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
-from .model import (Cell, ConfigError, Request, Scenario, ServiceClass,
-                    SubscriberStation, make_request)
+from .model import ConfigError, Request, Scenario, TrafficSpec, make_request
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -76,41 +74,6 @@ def stream_rng(seed: int, station_id: int, source_index: int = 0) -> SplitMix64:
              ^ ((station_id + 1) * _GOLDEN)
              ^ ((source_index + 1) * _STREAM)) & _MASK64
     return SplitMix64(state)
-
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    """One traffic source attached to a station."""
-
-    service_class: ServiceClass
-    pattern: str  # "constant_rate" | "poisson"
-    rate_bits_per_s: float
-    packet_size_bits: int
-    start_time: float = 0.0  # ms
-    stop_time: float = float("inf")  # ms
-
-    @property
-    def packets_per_s(self) -> float:
-        return self.rate_bits_per_s / self.packet_size_bits
-
-
-PATTERNS = ("constant_rate", "poisson")
-
-
-def validate_spec(spec: TrafficSpec) -> List[str]:
-    v = []
-    if spec.pattern not in PATTERNS:
-        v.append(f"pattern: unknown pattern {spec.pattern!r}, "
-                 f"expected one of {PATTERNS}")
-    if not 0 < spec.rate_bits_per_s < math.inf:
-        v.append(f"rate_bits_per_s: must be finite and > 0, "
-                 f"got {spec.rate_bits_per_s}")
-    if spec.packet_size_bits <= 0:
-        v.append(f"packet_size_bits: must be > 0, got {spec.packet_size_bits}")
-    if not -math.inf < spec.start_time < spec.stop_time:
-        v.append(f"start_time: must be finite and < stop_time, got "
-                 f"[{spec.start_time}, {spec.stop_time})")
-    return v
 
 
 def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
@@ -180,53 +143,3 @@ def build_requests(sc: Scenario) -> List[Request]:
             everything.extend(generate_station(specs, st.id, sc.seed, horizon))
     everything.sort(key=attrgetter("arrival_time"))  # ties: station, id
     return everything
-
-
-# Starvation demonstration: station A's real-time load exceeds the cell
-# capacity by OVERLOAD_FACTOR, so its backlog (and the lag of its oldest
-# deadline) grows without bound. Station B wakes up with one best-effort
-# packet every BE_PERIOD_MS; under plain deadline order each successive
-# packet waits longer than the one before, while fairness-aware policies
-# serve it within a frame or two.
-STARVATION_CELL_CAPACITY = 4000  # bits/frame
-OVERLOAD_FACTOR = 1.2
-STARVATION_RTPS_PACKET = 4000  # bits
-STARVATION_BE_PACKET = 1600  # bits
-BE_PERIOD_MS = 15_000.0
-
-
-def starvation_scenario(*, seed: int = 1, scheduler_name: str = "edf",
-                        total_frames: int = 12_000) -> Scenario:
-    """One cell, two stations: overloaded rtPS vs sparse best effort."""
-    from .model import DEFAULT_FRAME_MS
-
-    horizon = total_frames * DEFAULT_FRAME_MS
-    frames_per_s = 1000.0 / DEFAULT_FRAME_MS
-    rtps_rate = OVERLOAD_FACTOR * STARVATION_CELL_CAPACITY * frames_per_s
-    stations = [
-        SubscriberStation(id=0, cell_id=0, capacity_c=STARVATION_CELL_CAPACITY),
-        SubscriberStation(id=1, cell_id=0, capacity_c=STARVATION_CELL_CAPACITY),
-    ]
-    specs: Dict[int, Tuple[TrafficSpec, ...]] = {
-        0: (TrafficSpec(service_class=ServiceClass.RTPS,
-                        pattern="constant_rate",
-                        rate_bits_per_s=rtps_rate,
-                        packet_size_bits=STARVATION_RTPS_PACKET,
-                        start_time=0.0, stop_time=horizon),),
-        1: (TrafficSpec(service_class=ServiceClass.BE,
-                        pattern="constant_rate",
-                        rate_bits_per_s=STARVATION_BE_PACKET / (BE_PERIOD_MS / 1000.0),
-                        packet_size_bits=STARVATION_BE_PACKET,
-                        start_time=0.0, stop_time=horizon),),
-    }
-    return Scenario(
-        name="starvation",
-        cells=[Cell(id=0, base_station_capacity=STARVATION_CELL_CAPACITY,
-                    station_ids=[0, 1])],
-        stations=stations,
-        frame_duration=DEFAULT_FRAME_MS,
-        total_frames=total_frames,
-        traffic_specs=specs,
-        seed=seed,
-        scheduler_name=scheduler_name,
-    )

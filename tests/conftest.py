@@ -7,9 +7,10 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from uplinksim.model import (Cell, ConfigError, Request, Scenario,
-                             ServiceClass, SubscriberStation, make_request)
+                             ServiceClass, SubscriberStation, TrafficSpec,
+                             make_request)
 from uplinksim.schedulers import Grants, SchedulerPolicy, make_policy
-from uplinksim.traffic import IDS_PER_STATION, TrafficSpec, stream_rng
+from uplinksim.traffic import IDS_PER_STATION, stream_rng
 
 
 def edf_select(candidates: Sequence[Request]) -> Request:
@@ -87,8 +88,11 @@ class PolicyHarness:
             for i in range(n_stations)}
         self.cell = Cell(id=0, base_station_capacity=capacity,
                          station_ids=list(range(n_stations)))
+        # The smoothed throughputs the engine would keep; 0.0 unless set.
+        self.throughput: Dict[int, float] = {
+            i: 0.0 for i in range(n_stations)}
         self.policy: SchedulerPolicy = make_policy(
-            policy_name, self.cell, self.stations, frame_ms)
+            policy_name, self.cell, self.stations, self.throughput, frame_ms)
         self._next_id = 0
         self.requests: Dict[int, Request] = {}
 

@@ -23,10 +23,11 @@ import time
 from uplinksim.engine import run, simulate
 from uplinksim.metrics import write_events_csv
 from uplinksim.model import (Cell, Scenario, ServiceClass, SubscriberStation,
-                             canonical_scenario, make_request)
+                             TrafficSpec, canonical_scenario, make_request,
+                             starvation_scenario)
 from uplinksim.schedulers import (Outcome, claim_value, hedf_decide,
                                   ssbpf_priority, update_historical_throughput)
-from uplinksim.traffic import TrafficSpec, build_requests, starvation_scenario
+from uplinksim.traffic import build_requests
 
 RTPS = ServiceClass.RTPS
 
@@ -227,6 +228,7 @@ def test_criterion_5_conservation_suite():
         for seed in SWEEP_SEEDS:
             sc = canonical_scenario(seed=seed, scheduler_name=policy)
             log, rec = run(sc)
+            capacity = {c.id: c.base_station_capacity for c in sc.cells}
             per_frame = {}
             granted_total = 0
             for e in log.events:
@@ -234,7 +236,7 @@ def test_criterion_5_conservation_suite():
                     key = (e[0], e[3])
                     per_frame[key] = per_frame.get(key, 0) + e[6]
                     granted_total += e[6]
-            if any(bits > log.cell_capacity[cell]
+            if any(bits > capacity[cell]
                    for (_, cell), bits in per_frame.items()):
                 failures.append(f"{policy}/s{seed}: frame capacity exceeded")
             served_total = sum(r.served_bits for r in log.requests.values())

@@ -72,3 +72,26 @@ def test_every_defined_name_is_used():
         if name not in used and name not in uplinksim.__all__
         and not (name.startswith("__") and name.endswith("__")))
     assert unused == []
+
+
+def test_no_unused_imports():
+    # Each name a module in src/ imports, at any level, is read in that
+    # module. __init__.py is exempt: its imports are the re-exports.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused.extend(
+                    f"{path.stem}.{name}" for name in (
+                        a.asname or a.name.split(".")[0] for a in node.names)
+                    if name not in read)
+    assert unused == []

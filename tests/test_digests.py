@@ -12,8 +12,7 @@ import pytest
 
 from uplinksim.engine import run
 from uplinksim.metrics import write_events_csv
-from uplinksim.model import canonical_scenario
-from uplinksim.traffic import starvation_scenario
+from uplinksim.model import canonical_scenario, starvation_scenario
 
 FRAMES = 600
 BUILDERS = {"canonical": canonical_scenario,

@@ -1,5 +1,5 @@
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -120,8 +120,7 @@ def test_deadline_policy_boundaries():
 
 
 def test_invalid_scenario_rejected_with_field_path():
-    sc = single_cell_scenario()
-    sc.ewma_alpha = 7.0
+    sc = replace(single_cell_scenario(), ewma_alpha=7.0)
     with pytest.raises(ConfigError) as exc:
         run(sc)
     assert any("ewma_alpha" in v for v in exc.value.violations)
@@ -133,6 +132,17 @@ def test_run_reproducible_byte_identical():
     log1, _ = run(sc1)
     log2, _ = run(sc2)
     assert log1.events == log2.events
+    # A scenario carries no run state: the same object runs twice alike,
+    # and its stations cannot be changed.
+    sc = canonical_scenario(seed=5, scheduler_name="ssbpf_edf",
+                            total_frames=1500)
+    first, _ = run(sc)
+    second, _ = run(sc)
+    assert first.events == second.events
+    assert first.final_station_throughput == \
+        second.final_station_throughput
+    with pytest.raises(FrozenInstanceError):
+        sc.stations[0].capacity_c = 1
 
 
 def test_arrivals_identical_across_policies():
@@ -167,11 +177,12 @@ def test_grant_replay_rederives_completions_and_conservation():
 def test_per_frame_capacity_never_exceeded():
     sc = canonical_scenario(seed=2, scheduler_name="rr", total_frames=800)
     log, _ = run(sc)
+    capacity = {c.id: c.base_station_capacity for c in sc.cells}
     per_frame = defaultdict(int)
     for e in log.iter_events("grant"):
         per_frame[(e[0], e[3])] += e[6]
     for (frame, cell), bits in per_frame.items():
-        assert bits <= log.cell_capacity[cell]
+        assert bits <= capacity[cell]
 
 
 def test_miss_recorded_once_at_first_boundary_past_deadline():

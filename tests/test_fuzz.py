@@ -14,9 +14,10 @@ from uplinksim.engine import run
 from uplinksim.metrics import (compute_metrics, compute_starvation_windows,
                                count_context_switches, load_events_csv,
                                write_events_csv)
-from uplinksim.model import Cell, Scenario, ServiceClass, SubscriberStation
+from uplinksim.model import (PATTERNS, Cell, Scenario, ServiceClass,
+                             SubscriberStation, TrafficSpec)
 from uplinksim.schedulers import POLICY_NAMES
-from uplinksim.traffic import PATTERNS, TrafficSpec, build_requests
+from uplinksim.traffic import build_requests
 
 specs = st.builds(
     TrafficSpec,

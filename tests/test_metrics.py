@@ -237,7 +237,7 @@ def record_from_summary(row, station_ids):
 def test_summary_round_trip_exact(tmp_path):
     sc = canonical_scenario(seed=6, scheduler_name="hedf", total_frames=800)
     log, rec = run(sc)
-    row = summary_row(log.scenario_name, log.policy_name, log.seed, rec,
+    row = summary_row(sc.name, sc.scheduler_name, sc.seed, rec,
                       log.station_ids)
     summary_path = write_summary_csv([row], str(tmp_path / "r1.summary.csv"))
     rows = parse_summary_csv(summary_path)

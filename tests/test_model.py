@@ -122,10 +122,3 @@ def test_validate_cross_references():
 def test_unknown_policy_flagged():
     bad = _tiny_scenario(scheduler_name="fifo")
     assert any("scheduler_name" in m for m in validate_scenario(bad))
-
-
-def test_fresh_stations_do_not_alias():
-    sc = canonical_scenario()
-    clones = sc.fresh_stations()
-    clones[0].historical_throughput = 99.0
-    assert sc.stations[0].historical_throughput == 0.0

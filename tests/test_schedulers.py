@@ -279,8 +279,7 @@ def test_wrr_default_weights_follow_capacity():
 
 def test_ssbpf_lightly_served_station_goes_first():
     h = PolicyHarness("ssbpf_edf", n_stations=2, capacity=400)
-    h.stations[0].historical_throughput = 350.0
-    h.stations[1].historical_throughput = 10.0
+    h.throughput.update({0: 350.0, 1: 10.0})
     h.arrive(0, 300, 0.0)
     h.arrive(1, 300, 0.0)
     grants = h.frame(0)

@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 
 from uplinksim import traffic
-from uplinksim.model import ConfigError, ServiceClass
-from uplinksim.traffic import (SplitMix64, TrafficSpec, generate_station,
-                               starvation_scenario, stream_rng, validate_spec)
+from uplinksim.model import (ConfigError, ServiceClass, TrafficSpec,
+                             starvation_scenario, validate_spec)
+from uplinksim.traffic import SplitMix64, generate_station, stream_rng
 
 RTPS = ServiceClass.RTPS
 BE = ServiceClass.BE
