@@ -11,6 +11,15 @@ Per-event file, one row per event::
 
     frame,time_ms,event,cell,station,request,bits
 
+Every line, the header included, ends in CRLF. Each row is ``EVENT_ROW``
+applied to the event tuple: every field is written with ``%s``, so ints are
+decimal and floats are ``repr`` (``str`` and ``repr`` agree on floats), and
+nothing is quoted. These are the bytes ``csv.writer`` writes for the same
+rows as long as no field needs quoting, and none does: the engine's event
+names are ``EVENT_TYPES``, and every other field is a number.
+``load_events_csv`` refuses any other event name, so a reloaded log holds
+only names that need no quoting either.
+
 Per-run summary file, one row per (scenario, policy, seed). Fixed columns
 first, then a delay block (mean/p50/p95/max) per service class in declaration
 order, then per-station throughput and longest-starvation columns in station
@@ -33,6 +42,7 @@ from .model import ConfigError, ServiceClass
 CLASS_ORDER = [c.value for c in ServiceClass]
 EVENT_HEADER = ["frame", "time_ms", "event", "cell", "station", "request",
                 "bits"]
+EVENT_ROW = "%s,%s,%s,%s,%s,%s,%s\r\n"
 
 
 @dataclass(frozen=True)
@@ -215,11 +225,11 @@ def _guard(path: str, force: bool) -> None:
 
 
 def write_events_csv(log: EventLog, path: str, *, force: bool = False) -> str:
+    """Write the per-event file in the row format of the module docstring."""
     _guard(path, force)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EVENT_HEADER)
-        w.writerows(log.events)
+        fh.write(",".join(EVENT_HEADER) + "\r\n")
+        fh.writelines(map(EVENT_ROW.__mod__, log.events))
     return path
 
 
@@ -307,11 +317,11 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
 
     The file does not carry the frame duration, so every non-arrival row is
     checked against the engine's stamp ``frame*delta + delta`` for
-    ``delta = frame_duration_ms``. A mismatch, a malformed file, a row whose
-    frame is lower than the row before it, or a run of no frames raises
-    ConfigError. Service classes are not part of the event schema, so
-    per-class delay stats of a reloaded log land under the single key
-    "unknown".
+    ``delta = frame_duration_ms``. A mismatch, a malformed file, an event
+    name outside ``EVENT_TYPES``, a row whose frame is lower than the row
+    before it, or a run of no frames raises ConfigError. Service classes are
+    not part of the event schema, so per-class delay stats of a reloaded log
+    land under the single key "unknown".
 
     Rows share their values as the engine's log does: one int per frame,
     one stamp per frame, the engine's event names and one int per distinct
@@ -322,8 +332,7 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
     requests: Dict[int, ReqInfo] = {}
     frames = _Shared(int)
     ints = _Shared(int)
-    kinds = _Shared(str)
-    kinds.update((k, k) for k in EVENT_TYPES)
+    kinds = {k: k for k in EVENT_TYPES}
     frame, stamp = -1, None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -333,9 +342,13 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
                                f"expected {EVENT_HEADER!r}"])
         try:
             for row in reader:
-                f, t, kind = frames[row[0]], float(row[1]), kinds[row[2]]
+                f, t, kind = frames[row[0]], float(row[1]), kinds.get(row[2])
                 cell, sid, rid, bits = (ints[row[3]], ints[row[4]],
                                         ints[row[5]], ints[row[6]])
+                if kind is None:
+                    raise ConfigError([
+                        f"{path}:{reader.line_num}: unknown event "
+                        f"{row[2]!r}, expected one of {list(EVENT_TYPES)}"])
                 if f < 0:
                     raise ValueError(f"negative frame {f}")
                 if f != frame:

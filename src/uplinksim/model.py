@@ -121,8 +121,17 @@ class TrafficSpec:
     def packets_per_s(self) -> float:
         return self.rate_bits_per_s / self.packet_size_bits
 
+    @property
+    def interval_ms(self) -> float:
+        """Spacing of a constant-rate source's packets."""
+        return self.packet_size_bits / self.rate_bits_per_s * 1000.0
+
 
 PATTERNS = ("constant_rate", "poisson")
+
+# Station ids get a private id namespace this wide, keeping request ids
+# globally unique while independent of other stations' traffic volume.
+IDS_PER_STATION = 1_000_000
 
 
 def validate_spec(spec: TrafficSpec) -> List[str]:
@@ -139,6 +148,28 @@ def validate_spec(spec: TrafficSpec) -> List[str]:
         v.append(f"start_time: must be finite and < stop_time, got "
                  f"[{spec.start_time}, {spec.stop_time})")
     return v
+
+
+def _constant_rate_packets(spec: TrafficSpec, horizon: float,
+                           cap: int) -> int:
+    """How many packets, at most ``cap``, a valid constant-rate source emits
+    up to ``horizon`` ms.
+
+    The generator emits packet ``n`` while ``start_time + n * interval_ms``
+    is below ``min(stop_time, horizon)``. That float expression never falls
+    as ``n`` rises, so bisecting on it counts exactly what the generator
+    would emit.
+    """
+    end = min(spec.stop_time, horizon)
+    start, interval = spec.start_time, spec.interval_ms
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if start + mid * interval < end:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -335,10 +366,22 @@ def validate_scenario(sc: Scenario) -> List[str]:
         if sid not in claimed:
             v.append(f"stations: station {sid} not listed by any cell")
 
+    # A station's constant-rate packets are counted here, so a source too
+    # dense for its id namespace is refused before any request is built;
+    # Poisson counts are known only once generated.
+    horizon = sc.duration_ms
     for sid, specs in sorted(sc.traffic_specs.items()):
         if sid not in by_id:
             v.append(f"traffic_specs[{sid}]: no such station")
+        packets = 0
         for j, spec in enumerate(specs):
-            v.extend(f"traffic_specs[{sid}][{j}].{msg}"
-                     for msg in validate_spec(spec))
+            msgs = validate_spec(spec)
+            v.extend(f"traffic_specs[{sid}][{j}].{msg}" for msg in msgs)
+            if (not msgs and spec.pattern == "constant_rate"
+                    and 0 < horizon < math.inf):
+                packets += _constant_rate_packets(
+                    spec, horizon, IDS_PER_STATION + 1 - packets)
+        if packets > IDS_PER_STATION:
+            v.append(f"traffic_specs[{sid}]: constant-rate requests exceed "
+                     f"the {IDS_PER_STATION} request ids of one station")
     return v

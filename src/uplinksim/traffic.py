@@ -36,17 +36,14 @@ from itertools import count, islice
 from operator import attrgetter
 from typing import Iterator, List, Tuple
 
-from .model import ConfigError, Request, Scenario, TrafficSpec, make_request
+from .model import (IDS_PER_STATION, ConfigError, Request, Scenario,
+                    TrafficSpec, make_request)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STREAM = 0xC2B2AE3D27D4EB4F
-
-# Station ids get a private id namespace this wide, keeping request ids
-# globally unique while independent of other stations' traffic volume.
-IDS_PER_STATION = 1_000_000
 
 
 class SplitMix64:
@@ -89,7 +86,7 @@ def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
     end = min(spec.stop_time, horizon)
     cls, size = spec.service_class, spec.packet_size_bits
     if spec.pattern == "constant_rate":
-        interval_ms = size / spec.rate_bits_per_s * 1000.0
+        interval_ms = spec.interval_ms
         for rid in count():
             t = spec.start_time + rid * interval_ms
             if t >= end:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from uplinksim import cli
+from uplinksim import cli, engine
 from uplinksim.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                            load_scenario, main, scenario_to_dict)
 from uplinksim.model import ConfigError
@@ -110,10 +110,10 @@ def test_overwrite_without_force_exit_3_and_force_identical(tmp_path):
             "--seed", "2", "--frames", "300", "--out", out]
     assert main(argv) == EXIT_OK
     events = os.path.join(out, "canonical_rr_seed2.events.csv")
-    first = open(events, "rb").read()
+    first = Path(events).read_bytes()
     assert main(argv) == EXIT_IO
     assert main(argv + ["--force"]) == EXIT_OK
-    assert open(events, "rb").read() == first
+    assert Path(events).read_bytes() == first
 
 
 @pytest.mark.parametrize("seeds", ["1,99999999999999999999999", "1,1",
@@ -301,6 +301,24 @@ def test_config_stop_ms_may_be_infinite(tmp_path, capsys):
     assert doc["cells"][0]["stations"][0]["traffic"][0]["stop_ms"] == math.inf
 
 
+def test_terabit_constant_rate_exit_2_before_generation(tmp_path, capsys,
+                                                       monkeypatch):
+    def no_generation(sc):
+        raise AssertionError("build_requests ran")
+
+    monkeypatch.setattr(engine, "build_requests", no_generation)
+    cfg = write_config(tmp_path, with_values((TRAFFIC0 + ["rate_bits_per_s"],
+                                              1e12)))
+    message = ("traffic_specs[0]: constant-rate requests exceed the 1000000 "
+               "request ids of one station")
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_validate_round_trips_every_key(tmp_path, capsys):
     # A config that sets every key of every level reads back as itself, so
     # validate writes exactly what the reader reads.
@@ -378,7 +396,7 @@ def test_report_missing_file_exit_2(tmp_path):
 
 
 def test_invariant_breach_exit_4(monkeypatch, tmp_path):
-    from uplinksim import cli
+    from uplinksim import cli, engine
     from uplinksim.engine import InvariantError
 
     def boom(sc):
@@ -435,7 +453,11 @@ def test_report_non_finite_frame_duration_exit_2(tmp_path, capsys, frame_ms):
      "negative frame"),
     ("frame,time_ms,event,cell,station,request,bits\n2,15.0,grant,0,0,1,8\n"
      "1,10.0,grant,0,0,1,8\n", "bad.csv:3: frame 1 after frame 2"),
-], ids=["header", "row", "frame", "frame order"])
+    ("frame,time_ms,event,cell,station,request,bits\n0,5.0,grant,0,0,1,8\n"
+     "0,5.0,grnt,0,0,1,8\n", "bad.csv:3: unknown event 'grnt'"),
+    ('frame,time_ms,event,cell,station,request,bits\n'
+     '0,5.0,"grant,x",0,0,1,8\n', "bad.csv:2: unknown event 'grant,x'"),
+], ids=["header", "row", "frame", "frame order", "event", "quoted event"])
 def test_report_malformed_csv_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)

@@ -1,7 +1,10 @@
 import csv
+import io
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uplinksim.engine import EVENT_TYPES, EventLog, run, simulate
 from uplinksim.metrics import (CLASS_ORDER, DelayStats, MetricsRecord,
@@ -191,7 +194,7 @@ def test_metrics_invariants_on_real_run():
 def test_export_empty_log_header_only(tmp_path):
     log = synthetic_log([])
     path = write_events_csv(log, str(tmp_path / "empty.csv"))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines == ["frame,time_ms,event,cell,station,request,bits"]
 
 
@@ -199,7 +202,8 @@ def test_export_row_count(tmp_path):
     sc = canonical_scenario(seed=1, scheduler_name="edf", total_frames=300)
     log, rec = run(sc)
     path = write_events_csv(log, str(tmp_path / "ev.csv"))
-    n_lines = sum(1 for _ in open(path))
+    with open(path) as fh:
+        n_lines = sum(1 for _ in fh)
     assert n_lines == len(log.events) + 1
 
 
@@ -210,6 +214,31 @@ def test_export_overwrite_guard(tmp_path):
     with pytest.raises(FileExistsError):
         write_events_csv(log, path)
     write_events_csv(log, path, force=True)
+
+
+_FIELD = st.one_of(
+    st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-7, 10.0 ** 20, 1e16, 0.1,
+                     float("inf"), float("-inf"), float("nan")]),
+    st.sampled_from(EVENT_TYPES),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[_FIELD] * 7), max_size=20))
+def test_event_rows_are_the_csv_writer_bytes(tmp_path_factory, rows):
+    # csv.writer is the reference: the fixed row format must write the same
+    # bytes for every number and every event name.
+    path = str(tmp_path_factory.mktemp("oracle") / "ev.csv")
+    write_events_csv(synthetic_log(rows), path)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["frame", "time_ms", "event", "cell", "station", "request",
+                "bits"])
+    w.writerows(rows)
+    assert Path(path).read_bytes() == ref.getvalue().encode()
 
 
 def record_from_summary(row, station_ids):
@@ -289,25 +318,25 @@ def test_event_csv_replay_matches_in_memory(tmp_path):
 
 
 def test_load_events_csv_accepts_csv_variants_and_shares_values(tmp_path):
-    # Quoted fields, extra columns and bare \n line endings parse as before;
-    # an event name that looks like a number stays a string.
+    # Quoted fields, extra columns and bare \n line endings parse as before.
     path = tmp_path / "ev.csv"
     path.write_bytes(
         b"frame,time_ms,event,cell,station,request,bits\n"
         b'"300","1501.5","arrival",1000,1000,70000,1000\n'
         b'300,1505.0,"grant",1000,1000,70000,600\n'
-        b"300,1505.0,5,1000,1000,70000,400,,\n"
+        b"300,1505.0,completion,1000,1000,70000,400,,\n"
         b"301,1510.0,grant,1000,1000,70000,400\n")
     log = load_events_csv(str(path))
     assert log.events == [(300, 1501.5, "arrival", 1000, 1000, 70000, 1000),
                           (300, 1505.0, "grant", 1000, 1000, 70000, 600),
-                          (300, 1505.0, "5", 1000, 1000, 70000, 400),
+                          (300, 1505.0, "completion", 1000, 1000, 70000, 400),
                           (301, 1510.0, "grant", 1000, 1000, 70000, 400)]
     first, grant, odd, later = log.events
     # One frame int and one stamp per frame, the engine's event names, and
     # one int per distinct integer field value.
     assert first[0] is grant[0] is odd[0] and grant[1] is odd[1]
     assert grant[2] is EVENT_TYPES[1] and later[2] is grant[2]
+    assert odd[2] is EVENT_TYPES[2]
     assert first[3] is first[4] is first[6] and first[5] is later[5]
     assert odd[6] is later[6]
 

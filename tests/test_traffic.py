@@ -1,12 +1,16 @@
 import time
 import tracemalloc
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uplinksim import traffic
+from uplinksim import engine, model, traffic
 from uplinksim.model import (ConfigError, ServiceClass, TrafficSpec,
-                             starvation_scenario, validate_spec)
+                             starvation_scenario, validate_scenario,
+                             validate_spec)
 from uplinksim.traffic import SplitMix64, generate_station, stream_rng
+from test_engine import single_cell_scenario
 
 RTPS = ServiceClass.RTPS
 BE = ServiceClass.BE
@@ -135,6 +139,58 @@ def test_request_id_overflow_refused_before_building_the_list(monkeypatch):
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 2 ** 20
+
+
+def _constant_rate_scenario(frames, *rates):
+    # One station with one 800-bit constant-rate source per rate. At
+    # 64 kbit/s a source sends every 12.5 ms, so 25 frames of 5 ms hold 10
+    # packets and 26 frames hold 11.
+    specs = tuple(TrafficSpec(service_class=RTPS, pattern="constant_rate",
+                              rate_bits_per_s=rate, packet_size_bits=800)
+                  for rate in rates)
+    return single_cell_scenario(frames=frames, specs={0: specs})
+
+
+@pytest.fixture
+def ten_ids(monkeypatch):
+    monkeypatch.setattr(model, "IDS_PER_STATION", 10)
+    monkeypatch.setattr(traffic, "IDS_PER_STATION", 10)
+
+
+def test_constant_rate_overflow_refused_at_validate(ten_ids, monkeypatch):
+    fits = _constant_rate_scenario(25, 64_000.0)
+    assert validate_scenario(fits) == []
+    log, _ = engine.run(fits)
+    assert len(list(log.iter_events("arrival"))) == 10
+
+    def no_generation(sc):
+        raise AssertionError("build_requests ran")
+
+    monkeypatch.setattr(engine, "build_requests", no_generation)
+    message = ("traffic_specs[0]: constant-rate requests exceed the 10 "
+               "request ids of one station")
+    # The eleventh packet lands at 125.0 ms, inside 26 frames. Sources every
+    # 16 ms and every 50 ms send 8 and 3 packets in 125 ms, eleven in all.
+    for sc in (_constant_rate_scenario(26, 64_000.0),
+               _constant_rate_scenario(25, 50_000.0, 16_000.0)):
+        assert validate_scenario(sc) == [message]
+        with pytest.raises(ConfigError, match=r"traffic_specs\[0\]"):
+            engine.run(sc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-50.0, 50.0), stop=st.floats(-40.0, 300.0),
+       rate=st.floats(1e3, 1e6), size=st.integers(1, 2000),
+       horizon=st.floats(0.1, 200.0))
+def test_constant_rate_count_is_the_generators(start, stop, rate, size,
+                                               horizon):
+    spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
+                       rate_bits_per_s=rate, packet_size_bits=size,
+                       start_time=start, stop_time=max(stop, start + 1e-3))
+    cap = 40
+    emitted = len(list(islice(
+        traffic._source(spec, 0, 1, horizon, 0), cap)))
+    assert model._constant_rate_packets(spec, horizon, cap) == emitted
 
 
 def test_equal_times_in_one_station_take_ids_in_source_order():
