@@ -4,13 +4,12 @@ Each frame, in order: (1) hand the arrivals whose time falls inside the
 frame to their cell's policy (at the frame start, so a request can be served
 in its arrival frame), (2) let every policy grant its cell's capacity as
 ``(request, bits)`` pairs, (3) apply the grants,
-(4) record completions and deadline misses at the closing frame boundary,
-(5) fold each station's served bits of the frame into its smoothed
-throughput (one ``update_historical_throughput`` step, 0 bits for a station
-not served). The smoothed throughputs start at 0.0 and are the run's own:
-one ``{station id: bits/frame}`` dict that ``simulate`` keeps and the
-policies rank by; the log keeps its end-of-run values as
-``final_station_throughput``.
+(4) record completions and deadline misses at the closing frame boundary.
+Step (2) calls every cell's policy, idle cells included, so that a ranking
+policy steps its stations' smoothed throughputs every frame (see
+``schedulers``). The log's ``final_station_throughput`` merges the ranking
+policies' end-of-run throughputs into one fresh dict; it is empty under
+``rr``, ``wrr`` and ``edf``.
 
 Frame ``f`` opens at ``f*delta`` and closes at ``f*delta + delta``, computed
 as exactly these float expressions (see ``metrics.load_events_csv``).
@@ -35,8 +34,8 @@ the request size for arrivals and completions, the granted bits for grants,
 the unserved remainder for deadline misses, and 0 for context switches.
 
 A run never mutates its Scenario, whose values are frozen: the run's state
-is the requests, regenerated from the scenario seed, and the throughput
-dict, so running the same scenario twice gives byte-identical logs.
+is the requests, regenerated from the scenario seed, and its policies, so
+running the same scenario twice gives byte-identical logs.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .model import ConfigError, Request, Scenario, validate_scenario
-from .schedulers import make_policy, update_historical_throughput
+from .schedulers import make_policy
 from .traffic import build_requests
 
 EVENT_TYPES = ("arrival", "grant", "completion", "deadline_miss",
@@ -69,7 +68,8 @@ class EventLog:
     # Request objects by id; for logs reloaded from CSV this holds the
     # lighter ReqInfo view (see metrics.load_events_csv).
     requests: Dict[int, object] = field(default_factory=dict)
-    # Smoothed per-station throughput at end of run (bits/frame).
+    # Smoothed per-station throughput at end of run (bits/frame), for the
+    # stations of ranking policies only.
     final_station_throughput: Dict[int, float] = field(default_factory=dict)
 
     @property
@@ -104,7 +104,6 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     by_id = {s.id: s for s in stations}
     cell_of: Dict[int, int] = {s.id: s.cell_id for s in stations}
     cells = scenario.cells
-    throughput: Dict[int, float] = {s.id: 0.0 for s in stations}
 
     log = EventLog(
         frame_duration_ms=delta,
@@ -121,14 +120,13 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
             buckets[f].append(r)
 
     policies = {c.id: make_policy(scenario.scheduler_name, c, by_id,
-                                  throughput, delta)
+                                  scenario.ewma_alpha, delta)
                 for c in cells}
     on_arrival = {sid: policies[cid].on_arrival
                   for sid, cid in cell_of.items()}
     cell_runs = [(c.id, c.base_station_capacity, policies[c.id])
                  for c in cells]
 
-    alpha = scenario.ewma_alpha
     drop = scenario.drop_on_miss
     miss_heap: List[Tuple[float, int, Request]] = []
     # The frame's due requests that were not complete when it opened.
@@ -136,7 +134,6 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     # Per cell: (last granted request, was it incomplete after that grant);
     # the context-switch rule of metrics.count_context_switches.
     prev_grant: Dict[int, Tuple[Optional[Request], bool]] = {}
-    served_frame: Dict[int, int] = {s.id: 0 for s in stations}
 
     for f in range(n_frames):
         now = f * delta
@@ -169,7 +166,6 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                         prev.id, 0))
                 done = apply_grant(r, bits)
                 sid = r.station_id
-                served_frame[sid] += bits
                 ev((f, boundary, "grant", cid, sid, r.id, bits))
                 prev, prev_open = r, not done
                 if done:
@@ -188,14 +184,8 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
             if drop and rem > 0:
                 r.dropped = True
 
-        for sid, served in served_frame.items():
-            throughput[sid] = update_historical_throughput(
-                throughput[sid], served, alpha)
-            served_frame[sid] = 0
-
-    # A copy: keeping the dict made before the loop alive with the log raised
-    # canonical_cli peak RSS by 9% through allocator layout alone.
-    log.final_station_throughput = dict(throughput)
+    log.final_station_throughput = {
+        sid: th for p in policies.values() for sid, th in p.throughput.items()}
     return log
 
 

@@ -319,7 +319,8 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
     checked against the engine's stamp ``frame*delta + delta`` for
     ``delta = frame_duration_ms``. A mismatch, a malformed file, an event
     name outside ``EVENT_TYPES``, a row whose frame is lower than the row
-    before it, or a run of no frames raises ConfigError. Service classes are
+    before it, a run of no frames, or a ``total_frames`` that ends at or
+    before the last event's frame raises ConfigError. Service classes are
     not part of the event schema, so per-class delay stats of a reloaded log
     land under the single key "unknown".
 
@@ -376,6 +377,9 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
     if total_frames <= 0 or not 0 < delta < math.inf:
         raise ConfigError([f"{path}: duration must be > 0 and finite, got "
                            f"{total_frames} frames of {delta!r} ms"])
+    if total_frames <= frame:
+        raise ConfigError([f"{path}: an event at frame {frame} lies past the "
+                           f"horizon of {total_frames} frames"])
     return EventLog(
         frame_duration_ms=delta,
         total_frames=total_frames,

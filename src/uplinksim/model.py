@@ -9,8 +9,9 @@ which are served each frame (see ``schedulers``).
 This module is the whole scenario model. Every value a ``Scenario`` holds
 (cells, stations, traffic sources) is a frozen dataclass defined here, and
 no code changes the lists and dict that hold them, so a run cannot change
-its scenario. A run's own state lives in the engine: the progress of each
-``Request`` and each station's smoothed throughput.
+its scenario. A run's own state is the progress of each ``Request``, which
+the engine advances, and its policies' state, such as the smoothed
+throughputs that the ranking policies keep.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class SubscriberStation:
 
     ``capacity_c`` is the station's transmission capacity in bits per frame;
     it feeds the proportional-fairness priority and service-time estimates.
-    The smoothed throughput that priority also reads is run state, kept by
-    the engine per run (see ``engine.simulate``).
+    The smoothed throughput that priority also reads is run state, kept per
+    run by the ranking policy of the station's cell (see ``schedulers``).
     """
 
     id: int

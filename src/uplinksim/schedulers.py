@@ -32,10 +32,15 @@ The five policies:
               the current one ran to completion first, and switches only if
               that projection overshoots the next task's deadline.
 
-``ssbpf_edf`` and ``hedf`` rank stations by the smoothed throughputs of the
-run: a ``{station id: bits/frame}`` dict that the engine owns, passes to
-every policy through ``make_policy`` and updates at each frame end. A policy
-only reads it.
+``ssbpf_edf`` and ``hedf`` rank stations by their smoothed throughputs, and
+each keeps them for its own cell's stations: ``throughput``, a
+``{station id: bits/frame}`` dict that starts at 0.0. At the end of every
+``allocate_frame`` such a policy folds the bits it granted per station in
+that frame into it, one ``update_historical_throughput`` step per station
+(0 bits for a station it did not serve). The engine calls every cell's
+``allocate_frame`` exactly once per frame, idle cells included, so idle
+stations decay too. ``rr``, ``wrr`` and ``edf`` rank nothing and keep no
+throughputs: their ``throughput`` is empty.
 """
 
 from __future__ import annotations
@@ -132,14 +137,19 @@ def _serve(heap: List[_HeapEntry], cap: int, grants: Grants) -> int:
 
 
 class SchedulerPolicy:
-    """Base class wiring a policy to one cell of one run."""
+    """Base class wiring a policy to one cell of one run.
+
+    ``throughput`` holds the smoothed throughputs of the cell's stations
+    that a ranking policy keeps; a policy that ranks no stations keeps no
+    throughputs, so its dict stays empty.
+    """
 
     name = "base"
 
     def __init__(self, cell: Cell, stations: Dict[int, SubscriberStation],
-                 throughput: Dict[int, float], frame_duration_ms: float):
+                 ewma_alpha: float, frame_duration_ms: float):
         self.stations = stations
-        self.throughput = throughput
+        self.throughput: Dict[int, float] = {}
         self.frame_duration_ms = frame_duration_ms
 
     def on_arrival(self, request: Request) -> None:
@@ -155,8 +165,8 @@ class RoundRobinPolicy(SchedulerPolicy):
 
     name = "rr"
 
-    def __init__(self, cell, stations, throughput, frame_duration_ms):
-        super().__init__(cell, stations, throughput, frame_duration_ms)
+    def __init__(self, cell, stations, ewma_alpha, frame_duration_ms):
+        super().__init__(cell, stations, ewma_alpha, frame_duration_ms)
         self._order = list(cell.station_ids)
         self._ptr = 0
         self._queues: Dict[int, Deque[Request]] = {
@@ -206,8 +216,8 @@ class WeightedRoundRobinPolicy(RoundRobinPolicy):
 
     name = "wrr"
 
-    def __init__(self, cell, stations, throughput, frame_duration_ms):
-        super().__init__(cell, stations, throughput, frame_duration_ms)
+    def __init__(self, cell, stations, ewma_alpha, frame_duration_ms):
+        super().__init__(cell, stations, ewma_alpha, frame_duration_ms)
         min_c = min(stations[sid].capacity_c for sid in self._order)
         for sid in self._order:
             st = stations[sid]
@@ -226,8 +236,8 @@ class EarliestDeadlineFirstPolicy(SchedulerPolicy):
 
     name = "edf"
 
-    def __init__(self, cell, stations, throughput, frame_duration_ms):
-        super().__init__(cell, stations, throughput, frame_duration_ms)
+    def __init__(self, cell, stations, ewma_alpha, frame_duration_ms):
+        super().__init__(cell, stations, ewma_alpha, frame_duration_ms)
         self._heap: List[_HeapEntry] = []
 
     def on_arrival(self, request: Request) -> None:
@@ -244,11 +254,16 @@ class _StationHeapPolicy(SchedulerPolicy):
     """Shared machinery: one deadline heap per station, dropped requests
     discarded lazily on inspection."""
 
-    def __init__(self, cell, stations, throughput, frame_duration_ms):
-        super().__init__(cell, stations, throughput, frame_duration_ms)
+    def __init__(self, cell, stations, ewma_alpha, frame_duration_ms):
+        super().__init__(cell, stations, ewma_alpha, frame_duration_ms)
         self._heaps: Dict[int, List[_HeapEntry]] = {
             sid: [] for sid in cell.station_ids}
         self._ids = sorted(cell.station_ids)
+        self._alpha = ewma_alpha
+        self.throughput = {sid: 0.0 for sid in self._ids}
+        # Bits granted per station in the current frame. One dict for the
+        # whole run: a new one per frame raised dense_overload's peak RSS.
+        self._served = {sid: 0 for sid in self._ids}
 
     def on_arrival(self, request: Request) -> None:
         heapq.heappush(self._heaps[request.station_id], _entry(request))
@@ -262,10 +277,10 @@ class _StationHeapPolicy(SchedulerPolicy):
     def _ranked_stations(self, also: Optional[int] = None) -> List[int]:
         """The stations that hold requests, and station ``also``, in
         descending fairness priority, ties to the lower id (a stable sort of
-        ascending ids). Priorities only move at frame end (the throughput
-        EWMA), so one ranking serves a whole frame if it holds every station
-        that can gain a request in the frame; callers skip stations whose
-        head is None."""
+        ascending ids). Priorities only move when ``_fold`` ends the frame,
+        so one ranking serves a whole frame if it holds every station that
+        can gain a request in the frame; callers skip stations whose head is
+        None."""
         heaps = self._heaps
         ranked = [sid for sid in self._ids if heaps[sid] or sid == also]
         if len(ranked) > 1:
@@ -273,6 +288,14 @@ class _StationHeapPolicy(SchedulerPolicy):
             ranked.sort(key=lambda sid: -ssbpf_priority(
                 st[sid].capacity_c, th[sid]))
         return ranked
+
+    def _fold(self) -> None:
+        """End the frame: one EWMA step per station of the cell over the
+        bits granted to it in the frame, which then restart from 0."""
+        th, alpha, served = self.throughput, self._alpha, self._served
+        for sid, bits in served.items():
+            th[sid] = update_historical_throughput(th[sid], bits, alpha)
+            served[sid] = 0
 
     def _service_ms(self, r: Request) -> float:
         """Remaining service time at the owning station's capacity."""
@@ -284,7 +307,7 @@ class _StationHeapPolicy(SchedulerPolicy):
 class SsbpfEdfPolicy(_StationHeapPolicy):
     """Visit stations in descending capacity/(1+throughput) priority and
     serve each station's queue in deadline order until capacity runs out.
-    The engine's post-frame EWMA update is what steers the priorities.
+    The EWMA fold at the end of each frame is what steers the priorities.
     """
 
     name = "ssbpf_edf"
@@ -292,11 +315,15 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
         grants: Grants = []
+        served = self._served
         cap = capacity
         for sid in self._ranked_stations():
-            cap = _serve(self._heaps[sid], cap, grants)
+            left = _serve(self._heaps[sid], cap, grants)
+            served[sid] = cap - left
+            cap = left
             if cap == 0:
                 break
+        self._fold()
         return grants
 
 
@@ -314,8 +341,8 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
 
     name = "hedf"
 
-    def __init__(self, cell, stations, throughput, frame_duration_ms):
-        super().__init__(cell, stations, throughput, frame_duration_ms)
+    def __init__(self, cell, stations, ewma_alpha, frame_duration_ms):
+        super().__init__(cell, stations, ewma_alpha, frame_duration_ms)
         self._current: Optional[Request] = None
 
     def _candidate(self, ranked: List[int]) -> Optional[Request]:
@@ -329,6 +356,7 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
         grants: Grants = []
+        served = self._served
         cap = capacity
         cur = self._current
         if cur is not None and cur.dropped:
@@ -366,10 +394,13 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
             rem = cur.size_bits - cur.served_bits
             g = rem if rem < cap else cap
             grants.append((cur, g))
+            sid = cur.station_id
+            served[sid] += g
             cap -= g
             if g == rem:
                 cur = None
         self._current = cur
+        self._fold()
         return grants
 
 
@@ -384,11 +415,11 @@ POLICY_NAMES = tuple(sorted(POLICIES))
 
 def make_policy(name: str, cell: Cell,
                 stations: Dict[int, SubscriberStation],
-                throughput: Dict[int, float],
+                ewma_alpha: float,
                 frame_duration_ms: float) -> SchedulerPolicy:
     try:
         cls = POLICIES[name]
     except KeyError:
         raise ValueError(f"unknown policy {name!r}; "
                          f"expected one of {POLICY_NAMES}") from None
-    return cls(cell, stations, throughput, frame_duration_ms)
+    return cls(cell, stations, ewma_alpha, frame_duration_ms)

@@ -88,11 +88,9 @@ class PolicyHarness:
             for i in range(n_stations)}
         self.cell = Cell(id=0, base_station_capacity=capacity,
                          station_ids=list(range(n_stations)))
-        # The smoothed throughputs the engine would keep; 0.0 unless set.
-        self.throughput: Dict[int, float] = {
-            i: 0.0 for i in range(n_stations)}
         self.policy: SchedulerPolicy = make_policy(
-            policy_name, self.cell, self.stations, self.throughput, frame_ms)
+            policy_name, self.cell, self.stations, Scenario.ewma_alpha,
+            frame_ms)
         self._next_id = 0
         self.requests: Dict[int, Request] = {}
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import math
 import os
 import re
@@ -425,6 +426,37 @@ def test_report_refuses_wrong_frame_duration(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "implies a frame duration of 5.0 ms" in captured.err
     assert captured.out == ""
+
+
+def test_report_refuses_horizon_shorter_than_the_log(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "canonical", "--policy", "edf",
+                 "--frames", "50", "--out", str(out)]) == EXIT_OK
+    events = str(out / "canonical_edf_seed1.events.csv")
+    with open(events) as fh:
+        last_frame = int(fh.readlines()[-1].split(",")[0])
+    rep = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["report", events, "--frames", str(last_frame),
+                 "--out", str(rep)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{events}: an event at frame {last_frame} lies past the horizon " \
+        f"of {last_frame} frames" in captured.err
+    assert captured.out == ""
+    assert not (rep / "report_summary.csv").exists()
+    # The run's own horizon reproduces its summary row.
+    assert main(["report", events, "--frames", "50",
+                 "--out", str(rep)]) == EXIT_OK
+    with open(out / "summary.csv", newline="") as fh:
+        ran = next(csv.DictReader(fh))
+    with open(rep / "report_summary.csv", newline="") as fh:
+        reported = next(csv.DictReader(fh))
+    same = [k for k in ran if k.startswith(("offered", "throughput",
+                                            "max_starvation", "deadline",
+                                            "context"))
+            or k.startswith("delay_") and k.endswith("_ms")]
+    assert len(same) == 8 + 2 * 14  # global columns, two per station
+    assert {k: reported[k] for k in same} == {k: ran[k] for k in same}
 
 
 def test_report_header_only_without_frames_exit_2(tmp_path, capsys):

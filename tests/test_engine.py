@@ -7,6 +7,7 @@ from uplinksim.engine import InvariantError, apply_grant, run, simulate
 from uplinksim.model import (Cell, ConfigError, Scenario, ServiceClass,
                              SubscriberStation, canonical_scenario,
                              make_request)
+from uplinksim import engine, schedulers
 from uplinksim.schedulers import update_historical_throughput
 from uplinksim.traffic import build_requests
 
@@ -240,8 +241,10 @@ def test_late_request_still_served(drop_on_miss):
     assert misses[0][6] == 0
 
 
-def test_throughput_history_matches_repeated_op_application():
-    sc = canonical_scenario(seed=9, scheduler_name="wrr", total_frames=700)
+@pytest.mark.parametrize("policy", ["ssbpf_edf", "hedf"])
+def test_throughput_history_matches_repeated_op_application(policy):
+    sc = canonical_scenario(seed=9, scheduler_name=policy, total_frames=700)
+    assert len(sc.cells) == 7
     log = simulate(sc, build_requests(sc))
     served = {sid: [0] * sc.total_frames for sid in log.station_ids}
     for e in log.iter_events("grant"):
@@ -252,6 +255,29 @@ def test_throughput_history_matches_repeated_op_application():
             th[sid] = update_historical_throughput(th[sid], served[sid][f],
                                                    sc.ewma_alpha)
     assert th == log.final_station_throughput
+
+
+@pytest.mark.parametrize("policy,steps_per_station_frame", [
+    ("rr", 0), ("wrr", 0), ("edf", 0), ("ssbpf_edf", 1), ("hedf", 1)])
+def test_ewma_steps_only_under_ranking_policies(monkeypatch, policy,
+                                                steps_per_station_frame):
+    calls = []
+
+    def counted(th, served, alpha):
+        calls.append(1)
+        return update_historical_throughput(th, served, alpha)
+
+    # Also counted should the engine import the step again.
+    for module in (schedulers, engine):
+        monkeypatch.setattr(module, "update_historical_throughput", counted,
+                            raising=False)
+    sc = canonical_scenario(seed=4, scheduler_name=policy, total_frames=200)
+    log = simulate(sc, build_requests(sc))
+    assert len(calls) == \
+        steps_per_station_frame * sc.total_frames * len(sc.stations)
+    # A policy that ranks no stations keeps no throughputs.
+    assert len(log.final_station_throughput) == \
+        steps_per_station_frame * len(sc.stations)
 
 
 def test_context_switch_event_emitted_on_preemption():

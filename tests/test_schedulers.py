@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import PolicyHarness, edf_select
 from uplinksim.engine import EventLog
 from uplinksim.metrics import count_context_switches
-from uplinksim.model import ServiceClass, make_request
+from uplinksim.model import Scenario, ServiceClass, make_request
 from uplinksim.schedulers import (POLICY_NAMES, Outcome, claim_value,
                                   hedf_decide, ssbpf_priority,
                                   update_historical_throughput)
@@ -75,6 +75,28 @@ def test_ewma_stays_between_inputs(th, served, alpha):
     out = update_historical_throughput(th, served, alpha)
     lo, hi = min(th, served), max(th, served)
     assert lo - 1e-6 * hi <= out <= hi + 1e-6 * hi
+
+
+@pytest.mark.parametrize("policy", ["ssbpf_edf", "hedf"])
+def test_ranking_policy_folds_every_frame(policy):
+    # Station 1 gets no grant in frame 0 and decays by exactly one step;
+    # frame 1 holds no requests and still folds both stations.
+    h = PolicyHarness(policy, n_stations=2, capacity=1000)
+    th = h.policy.throughput
+    th.update({0: 0.0, 1: 800.0})
+
+    def stepped(served):
+        return {sid: update_historical_throughput(th[sid], served[sid],
+                                                  Scenario.ewma_alpha)
+                for sid in th}
+
+    h.arrive(0, 600, 0.0)
+    expected = stepped({0: 600, 1: 0})
+    assert [bits for _, bits in h.frame(0)] == [600]
+    assert th == expected and th[1] < 800.0
+    expected = stepped({0: 0, 1: 0})
+    assert h.frame(1) == []
+    assert th == expected
 
 
 # --- EDF order, through the edf policy --------------------------------------
@@ -279,7 +301,7 @@ def test_wrr_default_weights_follow_capacity():
 
 def test_ssbpf_lightly_served_station_goes_first():
     h = PolicyHarness("ssbpf_edf", n_stations=2, capacity=400)
-    h.throughput.update({0: 350.0, 1: 10.0})
+    h.policy.throughput.update({0: 350.0, 1: 10.0})
     h.arrive(0, 300, 0.0)
     h.arrive(1, 300, 0.0)
     grants = h.frame(0)
