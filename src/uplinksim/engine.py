@@ -66,7 +66,8 @@ class EventLog:
     station_ids: List[int] = field(default_factory=list)
     events: List[tuple] = field(default_factory=list)
     # Request objects by id; for logs reloaded from CSV this holds the
-    # lighter ReqInfo view (see metrics.load_events_csv).
+    # lighter ReqInfo view, which has no service class (see
+    # metrics.load_events_csv).
     requests: Dict[int, object] = field(default_factory=dict)
     # Smoothed per-station throughput at end of run (bits/frame), for the
     # stations of ranking policies only.

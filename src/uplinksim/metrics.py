@@ -2,8 +2,8 @@
 
 Everything here is a pure function of an EventLog, so any number recomputed
 from the exported per-event CSV matches the in-memory value (per-class delay
-breakdowns excepted: the event schema does not carry service classes, so
-they are available only for in-memory logs).
+breakdowns excepted: the event schema does not carry service classes, so a
+reloaded log has none, and its summary reads 0 in every per-class column).
 
 CSV formats
 -----------
@@ -143,31 +143,36 @@ def compute_starvation_windows(log: EventLog) -> Dict[int, float]:
 
 
 def count_context_switches(log: EventLog) -> int:
-    """Recount preemptive transitions from the grant records alone.
+    """Recount preemptive transitions from the arrival and grant rows alone.
 
     A transition counts when, within one cell, the granted request changes
     while the previously granted request was still incomplete after its
-    grant. Completions therefore never count: finishing a request forces a
-    transition no policy could avoid. The engine logs context_switch events
-    by this rule as it applies grants; the recount is an independent path so
-    the two can be checked against each other.
+    grant (its size is its arrival row's bits). Completions therefore never
+    count: finishing a request forces a transition no policy could avoid.
+    The engine logs context_switch events by this rule as it applies
+    grants; the recount is an independent path so the two can be checked
+    against each other.
     """
-    served: Dict[int, int] = {}
+    left: Dict[int, int] = {}  # request -> bits not yet granted
     prev: Dict[int, Tuple[int, bool]] = {}  # cell -> (request, was incomplete)
     count = 0
-    for _, _, _, cell, _, rid, bits in log.iter_events("grant"):
-        served[rid] = served.get(rid, 0) + bits
-        last = prev.get(cell)
-        if last is not None and last[0] != rid and last[1]:
-            count += 1
-        prev[cell] = (rid, served[rid] < log.requests[rid].size_bits)
+    for _, _, kind, cell, _, rid, bits in log.events:
+        if kind == "arrival":
+            left[rid] = bits
+        elif kind == "grant":
+            left[rid] -= bits
+            last = prev.get(cell)
+            if last is not None and last[0] != rid and last[1]:
+                count += 1
+            prev[cell] = (rid, left[rid] > 0)
     return count
 
 
 def compute_metrics(log: EventLog) -> MetricsRecord:
     """Aggregate one run. Throughput counts completed bits only; delay is
     departure minus arrival over completed requests, so requests still
-    incomplete at the end show up in the miss ratio, not in the delay."""
+    incomplete at the end show up in the miss ratio, not in the delay. A
+    delay is filed under its request's service class if it has one."""
     duration_s = log.duration_s
     offered_bits = 0
     total_requests = 0
@@ -191,8 +196,8 @@ def compute_metrics(log: EventLog) -> MetricsRecord:
             delay = e[1] - info.arrival_time
             delays.append(delay)
             cls = getattr(info, "service_class", None)
-            key = cls.value if cls is not None else "unknown"
-            delays_by_class.setdefault(key, []).append(delay)
+            if cls is not None:
+                delays_by_class.setdefault(cls.value, []).append(delay)
         elif kind == "deadline_miss":
             misses += 1
         elif kind == "context_switch":
@@ -296,7 +301,6 @@ class ReqInfo:
     station_id: int
     arrival_time: float
     size_bits: int
-    service_class: Optional[ServiceClass] = None
 
 
 class _Shared(dict):
@@ -321,8 +325,8 @@ def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
     name outside ``EVENT_TYPES``, a row whose frame is lower than the row
     before it, a run of no frames, or a ``total_frames`` that ends at or
     before the last event's frame raises ConfigError. Service classes are
-    not part of the event schema, so per-class delay stats of a reloaded log
-    land under the single key "unknown".
+    not part of the event schema, so ``ReqInfo`` carries none, and
+    ``compute_metrics`` gives a reloaded log no per-class delay stats.
 
     Rows share their values as the engine's log does: one int per frame,
     one stamp per frame, the engine's event names and one int per distinct

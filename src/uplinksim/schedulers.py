@@ -27,10 +27,13 @@ The five policies:
               capacity / (1 + smoothed throughput), so a station that has
               been served a lot yields to one that has not), earliest
               deadline first within a station.
-* ``hedf``    ssbpf_edf plus a sticky current task: before preempting, the
-              scheduler projects when the would-be next task could finish if
-              the current one ran to completion first, and switches only if
-              that projection overshoots the next task's deadline.
+* ``hedf``    ssbpf_edf plus at most one keep-or-preempt check per frame, at
+              the frame start, for the task the last frame left partly served:
+              it projects when the would-be next task could finish if that
+              task ran to completion first, and preempts only if the
+              projection overshoots the next task's deadline. The rest of
+              the frame drains like ssbpf_edf; completions hand over
+              without a check.
 
 ``ssbpf_edf`` and ``hedf`` rank stations by their smoothed throughputs, and
 each keeps them for its own cell's stations: ``throughput``, a
@@ -268,19 +271,13 @@ class _StationHeapPolicy(SchedulerPolicy):
     def on_arrival(self, request: Request) -> None:
         heapq.heappush(self._heaps[request.station_id], _entry(request))
 
-    def _head(self, sid: int) -> Optional[Request]:
-        heap = self._heaps[sid]
-        while heap and heap[0][3].dropped:
-            heapq.heappop(heap)
-        return heap[0][3] if heap else None
-
     def _ranked_stations(self, also: Optional[int] = None) -> List[int]:
         """The stations that hold requests, and station ``also``, in
         descending fairness priority, ties to the lower id (a stable sort of
         ascending ids). Priorities only move when ``_fold`` ends the frame,
         so one ranking serves a whole frame if it holds every station that
-        can gain a request in the frame; callers skip stations whose head is
-        None."""
+        can gain a request in the frame; stations with no live request are
+        passed over."""
         heaps = self._heaps
         ranked = [sid for sid in self._ids if heaps[sid] or sid == also]
         if len(ranked) > 1:
@@ -288,6 +285,17 @@ class _StationHeapPolicy(SchedulerPolicy):
             ranked.sort(key=lambda sid: -ssbpf_priority(
                 st[sid].capacity_c, th[sid]))
         return ranked
+
+    def _drain(self, ranked: List[int], cap: int, grants: Grants) -> None:
+        """``_serve`` each ranked station in turn until ``cap`` runs out,
+        counting the bits granted per station in the frame."""
+        heaps, served = self._heaps, self._served
+        for sid in ranked:
+            left = _serve(heaps[sid], cap, grants)
+            served[sid] += cap - left
+            cap = left
+            if cap == 0:
+                break
 
     def _fold(self) -> None:
         """End the frame: one EWMA step per station of the cell over the
@@ -315,14 +323,7 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
         grants: Grants = []
-        served = self._served
-        cap = capacity
-        for sid in self._ranked_stations():
-            left = _serve(self._heaps[sid], cap, grants)
-            served[sid] = cap - left
-            cap = left
-            if cap == 0:
-                break
+        self._drain(self._ranked_stations(), capacity, grants)
         self._fold()
         return grants
 
@@ -330,13 +331,11 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
 class HeuristicEdfPolicy(_StationHeapPolicy):
     """ssbpf_edf with a sticky current task.
 
-    The current request persists across frames, held outside the station
-    heaps. Whenever capacity remains, the would-be next task is the
-    deadline-first head of the best priority station; the scheduler then
-    projects the next task's completion time were the current task to finish
-    first (claim_value) and preempts only if that projection misses the next
-    task's deadline. A preempted task goes back to its station heap.
-    Completions hand over without a context switch.
+    The request the last frame left partly served is the current task, held
+    outside the station heaps. At the frame start, and only there, it is
+    weighed against the deadline-first head of the best priority station
+    (claim_value, hedf_decide); on SWITCH it goes back to its heap. The
+    chosen task is granted first, then the frame drains like ssbpf_edf.
     """
 
     name = "hedf"
@@ -346,60 +345,60 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
         self._current: Optional[Request] = None
 
     def _candidate(self, ranked: List[int]) -> Optional[Request]:
-        """The head of the first ranked station that has one."""
+        """The EDF head of the first ranked station that holds a live
+        request, discarding dropped heads on the way."""
+        heaps = self._heaps
         for sid in ranked:
-            head = self._head(sid)
-            if head is not None:
-                return head
+            heap = heaps[sid]
+            while heap and heap[0][3].dropped:
+                heapq.heappop(heap)
+            if heap:
+                return heap[0][3]
         return None
 
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
         grants: Grants = []
-        served = self._served
         cap = capacity
         cur = self._current
         if cur is not None and cur.dropped:
             cur = None
-        # A SWITCH pushes cur back onto its station's heap mid-frame, so that
-        # station is ranked even when its heap is empty now.
+        # A SWITCH pushes cur back onto its station's heap, so that station
+        # is ranked even when its heap is empty now.
         ranked = self._ranked_stations(
             None if cur is None else cur.station_id)
-        while cap > 0:
-            if cur is None:
-                cur = self._candidate(ranked)
-                if cur is None:
-                    break
-                # Take it from its heap; succeeding a completed task is no
-                # switch.
-                heapq.heappop(self._heaps[cur.station_id])
-            else:
-                cand = self._candidate(ranked)
-                if cand is not None:
-                    c_cur = self.stations[cur.station_id].capacity_c
-                    mu = claim_value(
-                        burst_next=self._service_ms(cand),
-                        total_current=cur.size_bits / c_cur
-                        * self.frame_duration_ms,
-                        elapsed_current=cur.served_bits / c_cur
-                        * self.frame_duration_ms,
-                        now=now,
-                    )
-                    if hedf_decide(mu, cand.deadline).outcome is Outcome.SWITCH:
-                        # Pop before the push: cand may share cur's station.
-                        heapq.heappop(self._heaps[cand.station_id])
-                        heapq.heappush(self._heaps[cur.station_id],
-                                       _entry(cur))
-                        cur = cand
+        if cur is not None:
+            cand = self._candidate(ranked)
+            if cand is not None:
+                c_cur = self.stations[cur.station_id].capacity_c
+                mu = claim_value(
+                    burst_next=self._service_ms(cand),
+                    total_current=cur.size_bits / c_cur
+                    * self.frame_duration_ms,
+                    elapsed_current=cur.served_bits / c_cur
+                    * self.frame_duration_ms,
+                    now=now,
+                )
+                if hedf_decide(mu, cand.deadline).outcome is Outcome.SWITCH:
+                    # Pop before the push: cand may share cur's station.
+                    heapq.heappop(self._heaps[cand.station_id])
+                    heapq.heappush(self._heaps[cur.station_id], _entry(cur))
+                    cur = cand
+            # The chosen task is out of its heap; grant it first.
             rem = cur.size_bits - cur.served_bits
             g = rem if rem < cap else cap
             grants.append((cur, g))
-            sid = cur.station_id
-            served[sid] += g
+            self._served[cur.station_id] += g
             cap -= g
-            if g == rem:
-                cur = None
-        self._current = cur
+        self._drain(ranked, cap, grants)
+        # A partial last grant becomes the current task and leaves its heap.
+        self._current = None
+        if grants:
+            last, g = grants[-1]
+            if g < last.size_bits - last.served_bits:
+                if last is not cur:
+                    heapq.heappop(self._heaps[last.station_id])
+                self._current = last
         self._fold()
         return grants
 

@@ -1,11 +1,15 @@
 """Shared test helpers: a minimal single-cell policy harness that mimics the
 engine's grant application without events or metrics, a linear-scan EDF
-oracle, a per-(station, frame) starvation-window oracle, and a tuple-keyed
-traffic oracle."""
+oracle, a per-(station, frame) starvation-window oracle, a counter of hedf's
+keep-or-preempt checks per frame, and a tuple-keyed traffic oracle."""
 
 import math
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import pytest
+
+from uplinksim import schedulers
 from uplinksim.model import (Cell, ConfigError, Request, Scenario,
                              ServiceClass, SubscriberStation, TrafficSpec,
                              make_request)
@@ -72,6 +76,30 @@ def starvation_windows_oracle(log) -> Dict[int, float]:
             backlog -= rem.get(f, 0)
         out[sid] = best * delta
     return out
+
+
+@contextmanager
+def hedf_checks_per_frame():
+    """Within the block, count ``hedf_decide`` calls per
+    ``HeuristicEdfPolicy.allocate_frame`` call; yields the list of counts,
+    one per call in call order."""
+    counts: List[int] = []
+    decide = schedulers.hedf_decide
+    allocate = schedulers.HeuristicEdfPolicy.allocate_frame
+
+    def counting_decide(mu, next_deadline):
+        counts[-1] += 1
+        return decide(mu, next_deadline)
+
+    def counting_allocate(self, frame, now, capacity):
+        counts.append(0)
+        return allocate(self, frame, now, capacity)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schedulers, "hedf_decide", counting_decide)
+        mp.setattr(schedulers.HeuristicEdfPolicy, "allocate_frame",
+                   counting_allocate)
+        yield counts
 
 
 class PolicyHarness:

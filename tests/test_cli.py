@@ -235,7 +235,7 @@ def test_config_unknown_class_reported_after_its_entry(tmp_path, capsys):
     cfg = write_config(tmp_path, with_values(
         (TRAFFIC0 + ["class"], "XX"), (TRAFFIC0 + ["packet_size_bits"], 0.5)))
     assert main(["validate", cfg]) == EXIT_CONFIG
-    path = "invalid: cells[0].stations[0].traffic[0]"
+    path = "error: cells[0].stations[0].traffic[0]"
     assert capsys.readouterr().err.splitlines() == [
         f"{path}.packet_size_bits: expected an integer, got 0.5",
         f"{path}.class: unknown class 'XX', expected one of "

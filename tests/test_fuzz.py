@@ -9,7 +9,8 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_build_requests, starvation_windows_oracle
+from conftest import (hedf_checks_per_frame, oracle_build_requests,
+                      starvation_windows_oracle)
 from uplinksim.engine import run
 from uplinksim.metrics import (compute_metrics, compute_starvation_windows,
                                count_context_switches, load_events_csv,
@@ -86,6 +87,16 @@ def test_engine_invariants_on_random_scenarios(sc):
     assert rec.context_switch_count == count_context_switches(log)
 
 
+@settings(max_examples=60, deadline=None)
+@given(sc=scenarios())
+def test_hedf_checks_at_most_once_per_frame(sc):
+    sc = replace(sc, scheduler_name="hedf")
+    with hedf_checks_per_frame() as counts:
+        run(sc)
+    assert len(counts) == len(sc.cells) * sc.total_frames
+    assert max(counts) <= 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(sc=scenarios(), data=st.data())
 def test_starvation_windows_match_oracle(sc, data):
@@ -105,14 +116,15 @@ def test_csv_reload_reproduces_metrics(sc):
         back = compute_metrics(load_events_csv(
             path, frame_duration_ms=sc.frame_duration,
             total_frames=sc.total_frames))
-    # Service classes are not in the event schema, so per-class delays are
-    # not compared. Stations without a single event are absent from the
+    # Service classes are not in the event schema, so a reloaded log has no
+    # per-class delays. Stations without a single event are absent from the
     # file; their summary columns read 0. Nor does the file say whether
     # missed requests were dropped, which decides whether a drop empties the
     # queue, so starvation windows are compared on drop-free runs only.
     assert back.throughput_bps == rec.throughput_bps
     assert back.offered_load_bps == rec.offered_load_bps
     assert back.delay_ms == rec.delay_ms
+    assert back.delay_ms_by_class == {}
     assert back.deadline_miss_ratio == rec.deadline_miss_ratio
     assert back.context_switch_count == rec.context_switch_count
     for sid in log.station_ids:

@@ -312,6 +312,8 @@ def test_event_csv_replay_matches_in_memory(tmp_path):
     rec2 = compute_metrics(reloaded)
     assert rec2.throughput_bps == rec.throughput_bps
     assert rec2.delay_ms == rec.delay_ms
+    # The file carries no service classes, so no per-class delays reload.
+    assert rec.delay_ms_by_class and rec2.delay_ms_by_class == {}
     assert rec2.deadline_miss_ratio == rec.deadline_miss_ratio
     assert rec2.context_switch_count == rec.context_switch_count
     assert rec2.max_starvation_window_ms == rec.max_starvation_window_ms

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import PolicyHarness, edf_select
-from uplinksim.engine import EventLog
+from conftest import PolicyHarness, edf_select, hedf_checks_per_frame
+from uplinksim.engine import EventLog, run
 from uplinksim.metrics import count_context_switches
-from uplinksim.model import Scenario, ServiceClass, make_request
+from uplinksim.model import Scenario, ServiceClass, canonical_scenario
 from uplinksim.schedulers import (POLICY_NAMES, Outcome, claim_value,
                                   hedf_decide, ssbpf_priority,
                                   update_historical_throughput)
@@ -374,6 +374,40 @@ def test_hedf_forgets_dropped_current_task():
     assert h.frame(2) == []
 
 
+def test_hedf_checks_at_most_once_per_frame_on_canonical():
+    # The keep-or-preempt check runs only at a frame start, for the task the
+    # last frame left partly served. 1461 of this run's 4200 cell-frames
+    # start with such a task and a candidate to weigh it against.
+    sc = canonical_scenario(seed=1, scheduler_name="hedf", total_frames=600)
+    with hedf_checks_per_frame() as counts:
+        run(sc)
+    assert len(counts) == len(sc.cells) * sc.total_frames
+    assert max(counts) == 1
+    assert sum(counts) == 1461
+
+
+@given(caps=st.lists(st.integers(100, 3_000), min_size=1, max_size=5),
+       capacity=st.integers(1, 6_000), data=st.data())
+def test_hedf_first_frame_grants_like_ssbpf_edf(caps, capacity, data):
+    # With no carried task there is nothing to keep or preempt, so hedf
+    # drains the frame exactly as ssbpf_edf does.
+    n = len(caps)
+    throughput = {sid: data.draw(st.floats(0.0, 5_000.0)) for sid in range(n)}
+    arrivals = data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(1, 4_000),
+        st.floats(0.0, 4.0), st.sampled_from(list(ServiceClass))),
+        max_size=12))
+    granted = []
+    for policy in ("hedf", "ssbpf_edf"):
+        h = PolicyHarness(policy, n_stations=n, capacity=capacity,
+                          station_caps=caps)
+        h.policy.throughput.update(throughput)
+        for sid, size, arrival, cls in arrivals:
+            h.arrive(sid, size, arrival, cls)
+        granted.append([(r.id, bits) for r, bits in h.frame(0)])
+    assert granted[0] == granted[1]
+
+
 def test_hedf_current_persists_across_frames():
     h = PolicyHarness("hedf", n_stations=1, capacity=1000)
     r = h.arrive(0, 3000, 0.0, BE)
@@ -386,14 +420,16 @@ def test_hedf_current_persists_across_frames():
 # --- context switch counting ------------------------------------------------
 
 def _count(grants, sizes, cell_of=None):
-    """count_context_switches over a log of grant records only; grants are
-    (station, request, bits), one per frame."""
+    """count_context_switches over a log of arrival and grant rows only;
+    grants are (station, request, bits), one per frame, and every request
+    of ``sizes`` arrives in frame 0."""
     cell_of = cell_of or {0: 0}
+    station = {rid: sid for sid, rid, _ in grants}
     log = EventLog(frame_duration_ms=5.0, total_frames=len(grants))
-    log.events = [(f, (f + 1) * 5.0, "grant", cell_of[sid], sid, rid, bits)
-                  for f, (sid, rid, bits) in enumerate(grants)]
-    log.requests = {rid: make_request(rid, 0, RTPS, 0.0, size)
-                    for rid, size in sizes.items()}
+    log.events = [(0, 0.0, "arrival", cell_of[station[rid]], station[rid],
+                   rid, size) for rid, size in sizes.items()]
+    log.events += [(f, (f + 1) * 5.0, "grant", cell_of[sid], sid, rid, bits)
+                   for f, (sid, rid, bits) in enumerate(grants)]
     return count_context_switches(log)
 
 
