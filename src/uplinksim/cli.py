@@ -42,13 +42,15 @@ Scenario file schema (YAML)
                 rate_bits_per_s: 64000
                 packet_size_bits: 800
                 start_ms: 0        # optional, default 0
-                stop_ms: 60000     # optional, default run end
+                stop_ms: 60000     # optional, default: runs to the end
 
 Values are checked, not cast: ids, counts, capacities, sizes, ``seed`` and
 ``wrr_weight`` are integers, ms values, rates and ``ewma_alpha`` finite
 numbers (``stop_ms`` may be ``.inf``), ``name`` and ``scheduler`` strings,
 ``drop_on_miss`` true or false. Any other value, and a key not shown above,
-at any level, is a configuration error naming its path.
+at any level, is a configuration error naming its path. A source without
+``stop_ms`` runs to the end of the run, ``--frames`` included, and
+``validate`` prints its ``stop_ms`` as ``.inf``.
 
 The builtin names ``canonical`` (7 cells x 2 stations, rtPS plus best-effort
 background) and ``starvation`` (one overloaded real-time station next to a
@@ -69,8 +71,8 @@ from .engine import InvariantError, run
 from .metrics import (MetricsRecord, _guard, compute_metrics, format_table,
                       load_events_csv, summary_row, write_events_csv,
                       write_summary_csv)
-from .model import (CLASS_BY_NAME, Cell, ConfigError, Scenario,
-                    ServiceClass, SubscriberStation, TrafficSpec,
+from .model import (CLASS_BY_NAME, DEFAULT_FRAME_MS, Cell, ConfigError,
+                    Scenario, ServiceClass, SubscriberStation, TrafficSpec,
                     canonical_scenario, starvation_scenario,
                     validate_scenario)
 from .schedulers import POLICY_NAMES
@@ -101,7 +103,8 @@ _REQUIRED = object()
 # Cell, SubscriberStation or TrafficSpec. It is None for the key that holds
 # the next level's list, whose entries are read with the next table. A
 # default that depends on the enclosing level (the file stem, the cell's
-# capacity, the run end) is passed to _read by the caller.
+# capacity) is passed to _read by the caller. A source without stop_ms runs
+# to the end of the run, --frames included.
 CONFIG_KEYS = {"name": (_STRING, _REQUIRED, "name"),
                "frame_duration_ms": (_NUMBER, _REQUIRED, "frame_duration"),
                "total_frames": (_INT, _REQUIRED, "total_frames"),
@@ -123,7 +126,7 @@ TRAFFIC_KEYS = {"class": (_CLASS, _REQUIRED, "service_class"),
                 "rate_bits_per_s": (_NUMBER, _REQUIRED, "rate_bits_per_s"),
                 "packet_size_bits": (_INT, _REQUIRED, "packet_size_bits"),
                 "start_ms": (_NUMBER, 0.0, "start_time"),
-                "stop_ms": (_NUMBER, _REQUIRED, "stop_time")}
+                "stop_ms": (_NUMBER, float("inf"), "stop_time")}
 
 
 def _read(doc: dict, table: dict, path: str, errors: List[str],
@@ -193,10 +196,6 @@ def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
         raise ConfigError(["config: top level must be a mapping"])
     top, cell_docs = _read(doc, CONFIG_KEYS, "config", errors,
                            name=default_name)
-    frame_ms, total_frames = top["frame_duration"], top["total_frames"]
-    horizon = float("inf")
-    if frame_ms is not None and total_frames is not None:
-        horizon = frame_ms * total_frames
 
     cells: List[Cell] = []
     stations: List[SubscriberStation] = []
@@ -214,8 +213,7 @@ def scenario_from_dict(doc: dict, default_name: str) -> Scenario:
             stations.append(SubscriberStation(cell_id=cell["id"], **st))
             specs[st["id"]] = tuple(
                 TrafficSpec(**_read(tdoc, TRAFFIC_KEYS,
-                                    f"{spath}.traffic[{k}]", errors,
-                                    stop_ms=horizon)[0])
+                                    f"{spath}.traffic[{k}]", errors)[0])
                 for k, tdoc in enumerate(traffic_docs))
         cells.append(Cell(station_ids=sids, **cell))
 
@@ -244,8 +242,7 @@ def load_scenario(ref: str, *, total_frames: Optional[int] = None,
     """Resolve a builtin name or YAML path, with optional overrides."""
     builder = BUILTIN_SCENARIOS.get(ref)
     if builder is not None:
-        sc = builder() if total_frames is None else builder(
-            total_frames=total_frames)
+        sc = builder()
     else:
         if not os.path.exists(ref):
             raise ConfigError(
@@ -257,8 +254,8 @@ def load_scenario(ref: str, *, total_frames: Optional[int] = None,
         except yaml.YAMLError as exc:
             raise ConfigError([f"scenario file {ref}: {exc}"]) from exc
         sc = scenario_from_dict(doc, os.path.splitext(os.path.basename(ref))[0])
-        if total_frames is not None:
-            sc = replace(sc, total_frames=total_frames)
+    if total_frames is not None:
+        sc = replace(sc, total_frames=total_frames)
     if drop_on_miss is not None:
         sc = replace(sc, drop_on_miss=drop_on_miss)
     violations = validate_scenario(sc)
@@ -267,13 +264,17 @@ def load_scenario(ref: str, *, total_frames: Optional[int] = None,
     return sc
 
 
-def _parse_list(value: str) -> List[str]:
-    return [v.strip() for v in value.split(",") if v.strip()]
+def _parse_list(value: str, key: str) -> List[str]:
+    """The items of a comma list option; a list with none is refused."""
+    items = [v.strip() for v in value.split(",") if v.strip()]
+    if not items:
+        raise ConfigError([f"{key}: empty comma list {value!r}"])
+    return items
 
 
 def _parse_seeds(value: str) -> List[int]:
     try:
-        return [int(s) for s in _parse_list(value)]
+        return [int(s) for s in _parse_list(value, "seed")]
     except ValueError:
         raise ConfigError([f"seed: expected a comma list of integers, "
                            f"got {value!r}"]) from None
@@ -289,8 +290,9 @@ def _run_to_csv(sc: Scenario, events_path: str, force: bool,
 
 
 def cmd_run(args) -> int:
-    policies = _parse_list(args.policy) if args.policy else None
-    seeds = _parse_seeds(args.seed) if args.seed else None
+    policies = (None if args.policy is None
+                else _parse_list(args.policy, "policy"))
+    seeds = None if args.seed is None else _parse_seeds(args.seed)
 
     base = load_scenario(args.scenario, total_frames=args.frames,
                          drop_on_miss=args.drop_on_miss or None)
@@ -394,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("report", help="re-summarize existing event CSVs")
     pp.add_argument("events", nargs="+", help="per-event CSV files")
-    pp.add_argument("--frame-duration-ms", type=float, default=5.0)
+    pp.add_argument("--frame-duration-ms", type=float,
+                    default=DEFAULT_FRAME_MS)
     pp.add_argument("--frames", type=int, default=None)
     pp.add_argument("--out", help="also write a summary CSV here")
     pp.add_argument("--force", action="store_true")

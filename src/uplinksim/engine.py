@@ -77,9 +77,6 @@ class EventLog:
     def duration_s(self) -> float:
         return self.total_frames * self.frame_duration_ms / 1000.0
 
-    def iter_events(self, event_type: str):
-        return (e for e in self.events if e[2] == event_type)
-
 
 def apply_grant(r: Request, bits: int) -> bool:
     """Advance a request by one grant of ``bits``; True when it completes.

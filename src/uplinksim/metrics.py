@@ -37,7 +37,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .engine import EVENT_TYPES, EventLog
-from .model import ConfigError, ServiceClass
+from .model import DEFAULT_FRAME_MS, ConfigError, ServiceClass
 
 CLASS_ORDER = [c.value for c in ServiceClass]
 EVENT_HEADER = ["frame", "time_ms", "event", "cell", "station", "request",
@@ -315,7 +315,8 @@ class _Shared(dict):
         return value
 
 
-def load_events_csv(path: str, *, frame_duration_ms: float = 5.0,
+def load_events_csv(path: str, *,
+                    frame_duration_ms: float = DEFAULT_FRAME_MS,
                     total_frames: Optional[int] = None) -> EventLog:
     """Rebuild a log from a per-event CSV for re-summarising.
 

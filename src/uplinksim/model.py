@@ -109,7 +109,9 @@ class Cell:
 
 @dataclass(frozen=True)
 class TrafficSpec:
-    """One traffic source attached to a station."""
+    """One traffic source attached to a station. It emits from
+    ``start_time`` until ``stop_time`` or the end of the run, whichever
+    comes first; by default it has no stop."""
 
     service_class: ServiceClass
     pattern: str  # "constant_rate" | "poisson"
@@ -216,7 +218,6 @@ def canonical_scenario(*, seed: int = 1, scheduler_name: str = "edf",
     best-effort background, so deadline-ordered policies are regularly
     interrupted mid-request and context-switch behaviour is observable.
     """
-    horizon = total_frames * DEFAULT_FRAME_MS
     cells: List[Cell] = []
     stations: List[SubscriberStation] = []
     specs: Dict[int, Tuple[TrafficSpec, ...]] = {}
@@ -231,13 +232,11 @@ def canonical_scenario(*, seed: int = 1, scheduler_name: str = "edf",
                 TrafficSpec(service_class=ServiceClass.RTPS,
                             pattern="constant_rate",
                             rate_bits_per_s=64_000.0,
-                            packet_size_bits=800,
-                            start_time=0.0, stop_time=horizon),
+                            packet_size_bits=800),
                 TrafficSpec(service_class=ServiceClass.BE,
                             pattern="poisson",
                             rate_bits_per_s=32_000.0,
-                            packet_size_bits=1600,
-                            start_time=0.0, stop_time=horizon),
+                            packet_size_bits=1600),
             )
         cells.append(Cell(id=c, base_station_capacity=CANONICAL_CELL_CAPACITY,
                           station_ids=sids))
@@ -267,9 +266,8 @@ BE_PERIOD_MS = 15_000.0
 
 
 def starvation_scenario(*, seed: int = 1, scheduler_name: str = "edf",
-                        total_frames: int = 12_000) -> Scenario:
+                        total_frames: int = DEFAULT_TOTAL_FRAMES) -> Scenario:
     """One cell, two stations: overloaded rtPS vs sparse best effort."""
-    horizon = total_frames * DEFAULT_FRAME_MS
     frames_per_s = 1000.0 / DEFAULT_FRAME_MS
     rtps_rate = OVERLOAD_FACTOR * STARVATION_CELL_CAPACITY * frames_per_s
     stations = [
@@ -280,13 +278,11 @@ def starvation_scenario(*, seed: int = 1, scheduler_name: str = "edf",
         0: (TrafficSpec(service_class=ServiceClass.RTPS,
                         pattern="constant_rate",
                         rate_bits_per_s=rtps_rate,
-                        packet_size_bits=STARVATION_RTPS_PACKET,
-                        start_time=0.0, stop_time=horizon),),
+                        packet_size_bits=STARVATION_RTPS_PACKET),),
         1: (TrafficSpec(service_class=ServiceClass.BE,
                         pattern="constant_rate",
                         rate_bits_per_s=STARVATION_BE_PACKET / (BE_PERIOD_MS / 1000.0),
-                        packet_size_bits=STARVATION_BE_PACKET,
-                        start_time=0.0, stop_time=horizon),),
+                        packet_size_bits=STARVATION_BE_PACKET),),
     }
     return Scenario(
         name="starvation",

@@ -131,6 +131,18 @@ def test_run_invalid_seed_writes_nothing(tmp_path, seeds):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("option,value", [("--policy", ","),
+                                          ("--seed", " , ")])
+def test_run_empty_list_writes_nothing(tmp_path, capsys, option, value):
+    # A policy or seed list with no item is refused before --out is made.
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "canonical", option, value,
+               "--frames", "50", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "empty comma list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_stale_summary_without_force_writes_nothing(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -345,6 +357,20 @@ def test_validate_round_trips_every_key(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("name", sorted(cli.BUILTIN_SCENARIOS))
+def test_validate_builtin_round_trips(tmp_path, capsys, name):
+    # A builtin's sources set no stop, so they run to the end of the run.
+    assert main(["validate", name]) == EXIT_OK
+    text = capsys.readouterr().out
+    doc = yaml.safe_load(text)
+    assert {t["stop_ms"] for c in doc["cells"] for s in c["stations"]
+            for t in s["traffic"]} == {math.inf}
+    path = tmp_path / "again.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == text
+
+
 def documented_scenarios():
     """The scenario YAML shown in README.md and in the cli docstring."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -378,6 +404,28 @@ def test_run_from_config_file(tmp_path):
                "--seed", "1,2", "--out", out])
     assert rc == EXIT_OK
     assert len(os.listdir(out)) == 4 + 1  # 2 policies x 2 seeds + summary
+
+
+def test_frames_extends_a_file_without_stop(tmp_path):
+    # --frames moves the run end of a file's sources that set no stop_ms,
+    # so the run equals the file with that many total_frames.
+    frames = 2 * GOOD_CONFIG["total_frames"]
+    longer = dict(GOOD_CONFIG, total_frames=frames)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    paths = [write_config(tmp_path / "a", GOOD_CONFIG),
+             write_config(tmp_path / "b", longer)]
+    outs = [str(tmp_path / "out_a"), str(tmp_path / "out_b")]
+    assert main(["run", "--scenario", paths[0], "--frames", str(frames),
+                 "--out", outs[0]]) == EXIT_OK
+    assert main(["run", "--scenario", paths[1], "--out", outs[1]]) == EXIT_OK
+    name = "two_cells_edf_seed3.events.csv"
+    assert Path(outs[0], name).read_bytes() == Path(outs[1], name).read_bytes()
+    with open(os.path.join(outs[0], name)) as fh:
+        late = {int(row["station"]) for row in csv.DictReader(fh)
+                if row["event"] == "arrival"
+                and int(row["frame"]) >= GOOD_CONFIG["total_frames"]}
+    assert late == {0, 1, 2}
 
 
 def test_report_recomputes(tmp_path, capsys):

@@ -51,6 +51,15 @@ DROP_ON_MISS_PINS = {
     "ssbpf_edf": "a579451247448110fc2b4838467ed155546ef754eb39765d83264b18a42efc8a",
     "hedf": "87ea183181ea6168351af32411c82ac092c3242ba8dac46b0b0f53b86c3cdbf0",
 }
+# starvation, seed 1, over its full 12000 frames: unlike the 600-frame pins
+# these reach the best-effort packets that arrive every 15 s.
+FULL_HORIZON_STARVATION_PINS = {
+    "rr": "1c4dff39e298911326c76ac4722ce7900612124051e679def7b3c8a3fe6bc62f",
+    "wrr": "1c4dff39e298911326c76ac4722ce7900612124051e679def7b3c8a3fe6bc62f",
+    "edf": "7b9e0e5561a36650b51ac5c69e4da2053f20c51920243b5182a0c6b82fa7235c",
+    "ssbpf_edf": "8f8633ad9bc45ee56d9556c989d852fa0aa5c09442f505ddaba55efeebba4978",
+    "hedf": "9cc822238cdf169eb2d2c817fe7abcddab441b194cfcfa297518ae92e05d3cf2",
+}
 
 
 def events_digest(sc, tmp_path) -> str:
@@ -72,3 +81,10 @@ def test_event_csv_digest_drop_on_miss(tmp_path, policy):
     sc = replace(starvation_scenario(seed=1, scheduler_name=policy,
                                      total_frames=FRAMES), drop_on_miss=True)
     assert events_digest(sc, tmp_path) == DROP_ON_MISS_PINS[policy]
+
+
+@pytest.mark.parametrize("policy", sorted(FULL_HORIZON_STARVATION_PINS))
+def test_event_csv_digest_full_horizon_starvation(tmp_path, policy):
+    sc = starvation_scenario(seed=1, scheduler_name=policy)
+    assert sc.total_frames == 12_000
+    assert events_digest(sc, tmp_path) == FULL_HORIZON_STARVATION_PINS[policy]

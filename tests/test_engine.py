@@ -66,7 +66,7 @@ def test_sim_clock_invariant():
 def test_zero_traffic_empty_run():
     sc = single_cell_scenario()
     log, rec = run(sc)
-    assert list(log.iter_events("grant")) == []
+    assert [e for e in log.events if e[2] == "grant"] == []
     assert rec.throughput_bps == 0.0
     assert rec.offered_load_bps == 0.0
 
@@ -74,7 +74,7 @@ def test_zero_traffic_empty_run():
 def test_single_request_served_in_arrival_frame():
     sc = single_cell_scenario(capacity=1000)
     log = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 1000)]))
-    completions = list(log.iter_events("completion"))
+    completions = [e for e in log.events if e[2] == "completion"]
     assert len(completions) == 1
     frame, time_ms = completions[0][0], completions[0][1]
     assert frame == 0
@@ -85,7 +85,7 @@ def test_single_request_served_in_arrival_frame():
 def test_mid_frame_arrival_served_same_frame():
     sc = single_cell_scenario(capacity=1000)
     log = simulate(sc, requests_for(sc, [(0, 0, RTPS, 7.5, 400)]))
-    completions = list(log.iter_events("completion"))
+    completions = [e for e in log.events if e[2] == "completion"]
     assert completions[0][0] == 1  # frame containing t=7.5
     assert completions[0][1] == 10.0
     assert completions[0][1] - 7.5 == 2.5
@@ -113,11 +113,11 @@ def test_deadline_policy_boundaries():
     # stamped exactly at 20.0 is on time.
     sc = single_cell_scenario(capacity=100, frames=20)
     late = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 1000, 20.0)]))
-    assert [(e[0], e[1]) for e in late.iter_events("deadline_miss")] == \
+    assert [(e[0], e[1]) for e in late.events if e[2] == "deadline_miss"] == \
         [(4, 25.0)]
     on_time = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 400, 20.0)]))
-    assert [e[1] for e in on_time.iter_events("completion")] == [20.0]
-    assert list(on_time.iter_events("deadline_miss")) == []
+    assert [e[1] for e in on_time.events if e[2] == "completion"] == [20.0]
+    assert [e for e in on_time.events if e[2] == "deadline_miss"] == []
 
 
 def test_invalid_scenario_rejected_with_field_path():
@@ -152,8 +152,8 @@ def test_arrivals_identical_across_policies():
         sc = canonical_scenario(seed=3, scheduler_name=policy,
                                 total_frames=1000)
         logs[policy], _ = run(sc)
-    a = list(logs["edf"].iter_events("arrival"))
-    b = list(logs["hedf"].iter_events("arrival"))
+    a = [e for e in logs["edf"].events if e[2] == "arrival"]
+    b = [e for e in logs["hedf"].events if e[2] == "arrival"]
     assert a == b
 
 
@@ -163,12 +163,14 @@ def test_grant_replay_rederives_completions_and_conservation():
     log, rec = run(sc)
     served = defaultdict(int)
     completion_time = {}
-    for e in log.iter_events("grant"):
+    for e in log.events:
+        if e[2] != "grant":
+            continue
         rid = e[5]
         served[rid] += e[6]
         if served[rid] == log.requests[rid].size_bits:
             completion_time[rid] = (e[0] + 1) * log.frame_duration_ms
-    logged = {e[5]: e[1] for e in log.iter_events("completion")}
+    logged = {e[5]: e[1] for e in log.events if e[2] == "completion"}
     assert completion_time == logged
     # Conservation: total granted equals total served over all requests.
     assert sum(served.values()) == \
@@ -180,7 +182,9 @@ def test_per_frame_capacity_never_exceeded():
     log, _ = run(sc)
     capacity = {c.id: c.base_station_capacity for c in sc.cells}
     per_frame = defaultdict(int)
-    for e in log.iter_events("grant"):
+    for e in log.events:
+        if e[2] != "grant":
+            continue
         per_frame[(e[0], e[3])] += e[6]
     for (frame, cell), bits in per_frame.items():
         assert bits <= capacity[cell]
@@ -190,26 +194,26 @@ def test_miss_recorded_once_at_first_boundary_past_deadline():
     sc = single_cell_scenario(capacity=100, frames=20)
     # 1000 bits at 100 bits/frame: completes at frame 9 (t=50), due at 20.
     log = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 1000)]))
-    misses = list(log.iter_events("deadline_miss"))
+    misses = [e for e in log.events if e[2] == "deadline_miss"]
     assert len(misses) == 1
     assert misses[0][0] == 4  # first boundary past 20.0 is t=25, frame 4
     assert misses[0][1] == 25.0
     # Served late, not dropped: the completion still happens.
-    assert len(list(log.iter_events("completion"))) == 1
+    assert len([e for e in log.events if e[2] == "completion"]) == 1
 
 
 def test_completion_on_time_no_miss():
     sc = single_cell_scenario(capacity=1000, frames=20)
     log = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 800)]))
-    assert list(log.iter_events("deadline_miss")) == []
+    assert [e for e in log.events if e[2] == "deadline_miss"] == []
 
 
 def test_drop_on_miss_removes_request():
     sc = single_cell_scenario(capacity=100, frames=20, drop_on_miss=True)
     log = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 1000)]))
-    assert len(list(log.iter_events("deadline_miss"))) == 1
-    assert list(log.iter_events("completion")) == []
-    grants = list(log.iter_events("grant"))
+    assert len([e for e in log.events if e[2] == "deadline_miss"]) == 1
+    assert [e for e in log.events if e[2] == "completion"] == []
+    grants = [e for e in log.events if e[2] == "grant"]
     assert all(e[0] <= 4 for e in grants)  # nothing granted after the drop
     served = sum(e[6] for e in grants)
     assert served < 1000
@@ -234,8 +238,8 @@ def test_late_request_still_served(drop_on_miss):
         (0, 0, RTPS, 0.0, 1000),
         (1, 0, RTPS, 0.0, 1000, 8.0),
     ]))
-    assert [e[5] for e in log.iter_events("completion")] == [1, 0]
-    misses = list(log.iter_events("deadline_miss"))
+    assert [e[5] for e in log.events if e[2] == "completion"] == [1, 0]
+    misses = [e for e in log.events if e[2] == "deadline_miss"]
     assert [e[5] for e in misses] == [1]
     assert misses[0][1] == 10.0  # first boundary past the 8.0 deadline
     assert misses[0][6] == 0
@@ -247,7 +251,9 @@ def test_throughput_history_matches_repeated_op_application(policy):
     assert len(sc.cells) == 7
     log = simulate(sc, build_requests(sc))
     served = {sid: [0] * sc.total_frames for sid in log.station_ids}
-    for e in log.iter_events("grant"):
+    for e in log.events:
+        if e[2] != "grant":
+            continue
         served[e[4]][e[0]] += e[6]
     th = {sid: 0.0 for sid in log.station_ids}
     for f in range(sc.total_frames):
@@ -289,8 +295,8 @@ def test_context_switch_event_emitted_on_preemption():
         (0, 0, BE, 0.0, 250),
         (1, 1, RTPS, 10.0, 100),
     ]))
-    grants = [(e[5], e[6]) for e in log.iter_events("grant")]
+    grants = [(e[5], e[6]) for e in log.events if e[2] == "grant"]
     assert grants == [(0, 100), (0, 100), (1, 100), (0, 50)]
-    switches = list(log.iter_events("context_switch"))
+    switches = [e for e in log.events if e[2] == "context_switch"]
     assert len(switches) == 1
     assert switches[0][5] == 0  # the preempted request

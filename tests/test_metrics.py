@@ -186,8 +186,9 @@ def test_metrics_invariants_on_real_run():
     assert 0.0 <= rec.deadline_miss_ratio <= 1.0
     assert rec.delay_ms.p50 <= rec.delay_ms.p95 <= rec.delay_ms.max
     # Throughput recomputed from grant records of completed requests.
-    completed = {e[5] for e in log.iter_events("completion")}
-    granted = sum(e[6] for e in log.iter_events("grant") if e[5] in completed)
+    completed = {e[5] for e in log.events if e[2] == "completion"}
+    granted = sum(e[6] for e in log.events
+                  if e[2] == "grant" and e[5] in completed)
     assert granted / log.duration_s == rec.throughput_bps
 
 
