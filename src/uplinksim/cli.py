@@ -65,8 +65,6 @@ import sys
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-import yaml
-
 from .engine import InvariantError, run
 from .metrics import (MetricsRecord, _guard, compute_metrics, format_table,
                       load_events_csv, summary_row, write_events_csv,
@@ -248,6 +246,7 @@ def load_scenario(ref: str, *, total_frames: Optional[int] = None,
             raise ConfigError(
                 [f"scenario: no builtin or file named {ref!r} "
                  f"(builtins: {sorted(BUILTIN_SCENARIOS)})"])
+        import yaml  # only a scenario file pays for PyYAML's import
         try:
             with open(ref) as fh:
                 doc = yaml.safe_load(fh)
@@ -334,6 +333,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    import yaml
     sc = load_scenario(args.scenario)
     print(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False), end="")
     return EXIT_OK

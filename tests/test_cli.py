@@ -3,6 +3,8 @@ import csv
 import math
 import os
 import re
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -95,6 +97,28 @@ def test_missing_scenario_file_exit_2(tmp_path):
     rc = main(["run", "--scenario", str(tmp_path / "nope.yaml"), "--out", out])
     assert rc == EXIT_CONFIG
     assert not os.path.exists(os.path.join(out, "summary.csv"))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("cells: [\n", "scenario file {path}: "),
+    ("name: a\n  seed: 1\n", "scenario file {path}: "),
+    ("", "config: top level must be a mapping"),
+    ("- 1\n- 2\n", "config: top level must be a mapping"),
+    ("just words\n", "config: top level must be a mapping"),
+], ids=["unclosed list", "bad indent", "empty", "list", "scalar"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_unreadable_scenario_file_exit_2(tmp_path, capsys, command, text,
+                                         message):
+    path = tmp_path / "sc.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = (["run", "--scenario", str(path), "--out", str(out)]
+            if command == "run" else ["validate", str(path)])
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"error: {message.format(path=path)}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_unknown_policy_exit_2(tmp_path, capsys):
@@ -575,3 +599,42 @@ def test_run_holds_one_log_at_a_time(tmp_path):
     two = traced_peak(run + ["--policy", "rr,wrr",
                              "--out", str(tmp_path / "2")])
     assert two <= 1.1 * one
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter that imports uplinksim from the
+    same source tree as this test run."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_builtin_run_and_report_leave_yaml_unimported(tmp_path):
+    # This module imports yaml itself, so only a fresh interpreter can show
+    # that uplinksim does not.
+    code = textwrap.dedent("""
+        import sys
+        import uplinksim, uplinksim.cli
+        main = uplinksim.cli.main
+        assert main(["run", "--scenario", "canonical", "--frames", "50",
+                     "--out", "out"]) == 0
+        assert main(["report", "out/canonical_edf_seed1.events.csv",
+                     "--frames", "50"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "yaml"))
+    """)
+    proc = fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_validate_file_in_a_fresh_process(tmp_path):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    proc = fresh_python("import sys; from uplinksim.cli import main; "
+                        f"sys.exit(main(['validate', {path!r}]))", tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert yaml.safe_load(proc.stdout) == scenario_to_dict(load_scenario(path))
