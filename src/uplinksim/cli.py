@@ -279,13 +279,14 @@ def _parse_seeds(value: str) -> List[int]:
                            f"got {value!r}"]) from None
 
 
-def _run_to_csv(sc: Scenario, events_path: str, force: bool,
-                station_ids: List[int]) -> Dict[str, object]:
+def _run_to_csv(sc: Scenario, events_path: str,
+                force: bool) -> Dict[str, object]:
     """Run one scenario and write its events; only the summary row outlives
     the call, so one event log is held at a time."""
     log, rec = run(sc)
     write_events_csv(log, events_path, force=force)
-    return summary_row(sc.name, sc.scheduler_name, sc.seed, rec, station_ids)
+    return summary_row(sc.name, sc.scheduler_name, sc.seed, rec,
+                       log.station_ids)
 
 
 def cmd_run(args) -> int:
@@ -319,9 +320,8 @@ def cmd_run(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    station_ids = [s.id for s in base.stations]
     for sc, events_path in zip(runs, events_paths):
-        rows.append(_run_to_csv(sc, events_path, args.force, station_ids))
+        rows.append(_run_to_csv(sc, events_path, args.force))
         print(f"wrote {events_path}")
     write_summary_csv(rows, summary_path, force=args.force)
     print(f"wrote {summary_path}")

@@ -63,7 +63,7 @@ class EventLog:
     frame_duration_ms: float
     total_frames: int
     drop_on_miss: bool = False
-    station_ids: List[int] = field(default_factory=list)
+    station_ids: List[int] = field(default_factory=list)  # ascending
     events: List[tuple] = field(default_factory=list)
     # Request objects by id; for logs reloaded from CSV this holds the
     # lighter ReqInfo view, which has no service class (see
@@ -107,7 +107,7 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
         frame_duration_ms=delta,
         total_frames=n_frames,
         drop_on_miss=scenario.drop_on_miss,
-        station_ids=[s.id for s in stations],
+        station_ids=sorted(by_id),
     )
     ev = log.events.append
 

@@ -322,24 +322,34 @@ def load_events_csv(path: str, *,
 
     The file does not carry the frame duration, so every non-arrival row is
     checked against the engine's stamp ``frame*delta + delta`` for
-    ``delta = frame_duration_ms``. A mismatch, a malformed file, an event
-    name outside ``EVENT_TYPES``, a row whose frame is lower than the row
-    before it, a run of no frames, or a ``total_frames`` that ends at or
-    before the last event's frame raises ConfigError. Service classes are
-    not part of the event schema, so ``ReqInfo`` carries none, and
-    ``compute_metrics`` gives a reloaded log no per-class delay stats.
+    ``delta = frame_duration_ms``. A mismatch, a malformed file (a NaN or
+    infinite time included), an event name outside ``EVENT_TYPES``, a row
+    whose frame is lower than the row before it, a run of no frames, or a
+    ``total_frames`` that ends at or before the last event's frame raises
+    ConfigError. So does the first row that contradicts an earlier row or
+    its frame: an arrival outside its frame by the engine's rule
+    ``int(t // delta) == frame``, a second arrival row for one request, or
+    a non-arrival row before its request's arrival row. That row is named
+    once the whole file has parsed, so a stamp mismatch, which a wrong
+    ``delta`` makes too, is reported first. Service classes are not part of
+    the event schema, so ``ReqInfo`` carries none, and ``compute_metrics``
+    gives a reloaded log no per-class delay stats.
 
     Rows share their values as the engine's log does: one int per frame,
     one stamp per frame, the engine's event names and one int per distinct
     integer field, each kind from its own cache.
     """
     delta = frame_duration_ms
+    if not 0 < delta < math.inf:
+        raise ConfigError([f"{path}: frame duration must be > 0 and finite, "
+                           f"got {delta!r} ms"])
     events: List[tuple] = []
     requests: Dict[int, ReqInfo] = {}
     frames = _Shared(int)
     ints = _Shared(int)
     kinds = {k: k for k in EVENT_TYPES}
     frame, stamp = -1, None
+    bad = None  # the first row that contradicts an earlier row or its frame
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -364,24 +374,34 @@ def load_events_csv(path: str, *,
                             f"frame {frame}; rows must be in frame order"])
                     frame, stamp = f, f * delta + delta
                 if kind == "arrival":
-                    requests[rid] = ReqInfo(id=rid, station_id=sid,
-                                            arrival_time=t, size_bits=bits)
-                elif t != stamp:
-                    raise ConfigError([
-                        f"{path}: {kind} of frame {f} stamped {t!r} ms "
-                        f"implies a frame duration of {t / (f + 1)!r} "
-                        f"ms, not {delta!r} ms"])
+                    if int(t // delta) != f and bad is None:
+                        bad = (f"{path}:{reader.line_num}: arrival at {t!r} "
+                               f"ms lies outside frame {f}")
+                    elif rid in requests and bad is None:
+                        bad = (f"{path}:{reader.line_num}: second arrival "
+                               f"row for request {rid}")
+                    requests[rid] = ReqInfo(rid, sid, t, bits)
                 else:
+                    if t != stamp:
+                        raise ConfigError([
+                            f"{path}: {kind} of frame {f} stamped {t!r} ms "
+                            f"implies a frame duration of {t / (f + 1)!r} "
+                            f"ms, not {delta!r} ms"])
                     t = stamp
+                    if rid not in requests and bad is None:
+                        bad = (f"{path}:{reader.line_num}: {kind} of request "
+                               f"{rid} has no earlier arrival row")
                 events.append((f, t, kind, cell, sid, rid, bits))
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OverflowError) as exc:
             raise ConfigError(
                 [f"{path}:{reader.line_num}: malformed row: {exc}"]) from exc
+    if bad is not None:
+        raise ConfigError([bad])
     if total_frames is None:
         total_frames = frame + 1
-    if total_frames <= 0 or not 0 < delta < math.inf:
-        raise ConfigError([f"{path}: duration must be > 0 and finite, got "
-                           f"{total_frames} frames of {delta!r} ms"])
+    if total_frames <= 0:
+        raise ConfigError([f"{path}: duration must be > 0 frames, got "
+                           f"{total_frames}"])
     if total_frames <= frame:
         raise ConfigError([f"{path}: an event at frame {frame} lies past the "
                            f"horizon of {total_frames} frames"])

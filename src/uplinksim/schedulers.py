@@ -1,10 +1,10 @@
 """Uplink scheduling policies.
 
 A policy instance is owned by exactly one cell of one run and owns that
-cell's request queues. The engine hands it every arrival through
-:meth:`SchedulerPolicy.on_arrival`; each frame, ``allocate_frame`` returns
-the grants as ``(request, bits)`` pairs, which the engine applies after
-the call returns. Policies never mutate requests, may keep state across
+cell's request queues. The engine hands it every arrival through its
+``on_arrival``; each frame, ``allocate_frame`` returns the grants as
+``(request, bits)`` pairs, which the engine applies after the call
+returns. Policies never mutate requests, may keep state across
 frames, and hold only live requests: a request leaves its queue when all of
 its bits are granted, and a request the engine dropped (drop-on-miss) is
 discarded when the policy next reaches it.
@@ -147,16 +147,11 @@ class SchedulerPolicy:
     throughputs, so its dict stays empty.
     """
 
-    name = "base"
-
     def __init__(self, cell: Cell, stations: Dict[int, SubscriberStation],
                  ewma_alpha: float, frame_duration_ms: float):
         self.stations = stations
         self.throughput: Dict[int, float] = {}
         self.frame_duration_ms = frame_duration_ms
-
-    def on_arrival(self, request: Request) -> None:
-        """Called by the engine when a request of this cell arrives."""
 
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
@@ -253,9 +248,15 @@ class EarliestDeadlineFirstPolicy(SchedulerPolicy):
         return grants
 
 
-class _StationHeapPolicy(SchedulerPolicy):
-    """Shared machinery: one deadline heap per station, dropped requests
-    discarded lazily on inspection."""
+class SsbpfEdfPolicy(SchedulerPolicy):
+    """Visit stations in descending capacity/(1+throughput) priority and
+    serve each station's queue in deadline order until capacity runs out.
+    One deadline heap per station; dropped requests are discarded lazily
+    when they reach a heap top. The EWMA fold at the end of each frame is
+    what steers the priorities.
+    """
+
+    name = "ssbpf_edf"
 
     def __init__(self, cell, stations, ewma_alpha, frame_duration_ms):
         super().__init__(cell, stations, ewma_alpha, frame_duration_ms)
@@ -271,15 +272,21 @@ class _StationHeapPolicy(SchedulerPolicy):
     def on_arrival(self, request: Request) -> None:
         heapq.heappush(self._heaps[request.station_id], _entry(request))
 
-    def _ranked_stations(self, also: Optional[int] = None) -> List[int]:
-        """The stations that hold requests, and station ``also``, in
-        descending fairness priority, ties to the lower id (a stable sort of
-        ascending ids). Priorities only move when ``_fold`` ends the frame,
-        so one ranking serves a whole frame if it holds every station that
-        can gain a request in the frame; stations with no live request are
-        passed over."""
+    def _ranked_stations(self) -> List[int]:
+        """The stations whose heap top is live, in descending fairness
+        priority, ties to the lower id (a stable sort of ascending ids).
+        Dropped tops are discarded on the way, so the first ranked station's
+        top is the best station's live EDF head. Priorities only move when
+        ``_fold`` ends the frame, so one ranking serves a frame as long as
+        no unranked station gains a request."""
         heaps = self._heaps
-        ranked = [sid for sid in self._ids if heaps[sid] or sid == also]
+        ranked = []
+        for sid in self._ids:
+            heap = heaps[sid]
+            while heap and heap[0][3].dropped:
+                heapq.heappop(heap)
+            if heap:
+                ranked.append(sid)
         if len(ranked) > 1:
             st, th = self.stations, self.throughput
             ranked.sort(key=lambda sid: -ssbpf_priority(
@@ -305,21 +312,6 @@ class _StationHeapPolicy(SchedulerPolicy):
             th[sid] = update_historical_throughput(th[sid], bits, alpha)
             served[sid] = 0
 
-    def _service_ms(self, r: Request) -> float:
-        """Remaining service time at the owning station's capacity."""
-        rem = r.size_bits - r.served_bits
-        c = self.stations[r.station_id].capacity_c
-        return rem / c * self.frame_duration_ms
-
-
-class SsbpfEdfPolicy(_StationHeapPolicy):
-    """Visit stations in descending capacity/(1+throughput) priority and
-    serve each station's queue in deadline order until capacity runs out.
-    The EWMA fold at the end of each frame is what steers the priorities.
-    """
-
-    name = "ssbpf_edf"
-
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
         grants: Grants = []
@@ -328,12 +320,12 @@ class SsbpfEdfPolicy(_StationHeapPolicy):
         return grants
 
 
-class HeuristicEdfPolicy(_StationHeapPolicy):
+class HeuristicEdfPolicy(SsbpfEdfPolicy):
     """ssbpf_edf with a sticky current task.
 
     The request the last frame left partly served is the current task, held
     outside the station heaps. At the frame start, and only there, it is
-    weighed against the deadline-first head of the best priority station
+    weighed against the live EDF head of the best priority station
     (claim_value, hedf_decide); on SWITCH it goes back to its heap. The
     chosen task is granted first, then the frame drains like ssbpf_edf.
     """
@@ -344,17 +336,11 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
         super().__init__(cell, stations, ewma_alpha, frame_duration_ms)
         self._current: Optional[Request] = None
 
-    def _candidate(self, ranked: List[int]) -> Optional[Request]:
-        """The EDF head of the first ranked station that holds a live
-        request, discarding dropped heads on the way."""
-        heaps = self._heaps
-        for sid in ranked:
-            heap = heaps[sid]
-            while heap and heap[0][3].dropped:
-                heapq.heappop(heap)
-            if heap:
-                return heap[0][3]
-        return None
+    def _service_ms(self, r: Request) -> float:
+        """Remaining service time at the owning station's capacity."""
+        rem = r.size_bits - r.served_bits
+        c = self.stations[r.station_id].capacity_c
+        return rem / c * self.frame_duration_ms
 
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
@@ -363,13 +349,10 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
         cur = self._current
         if cur is not None and cur.dropped:
             cur = None
-        # A SWITCH pushes cur back onto its station's heap, so that station
-        # is ranked even when its heap is empty now.
-        ranked = self._ranked_stations(
-            None if cur is None else cur.station_id)
+        ranked = self._ranked_stations()
         if cur is not None:
-            cand = self._candidate(ranked)
-            if cand is not None:
+            if ranked:
+                cand = self._heaps[ranked[0]][0][3]
                 c_cur = self.stations[cur.station_id].capacity_c
                 mu = claim_value(
                     burst_next=self._service_ms(cand),
@@ -383,6 +366,9 @@ class HeuristicEdfPolicy(_StationHeapPolicy):
                     # Pop before the push: cand may share cur's station.
                     heapq.heappop(self._heaps[cand.station_id])
                     heapq.heappush(self._heaps[cur.station_id], _entry(cur))
+                    # cur's station may have had no live top when ranked.
+                    if cur.station_id not in ranked:
+                        ranked = self._ranked_stations()
                     cur = cand
             # The chosen task is out of its heap; grant it first.
             rem = cur.size_bits - cur.served_bits

@@ -531,6 +531,26 @@ def test_report_refuses_horizon_shorter_than_the_log(tmp_path, capsys):
     assert {k: reported[k] for k in same} == {k: ran[k] for k in same}
 
 
+def test_run_and_report_list_station_columns_in_id_order(tmp_path):
+    # The file lists stations 5, 3, 2; both summaries list them 2, 3, 5.
+    doc = with_values((("cells", 0, "stations", 0, "id"), 5),
+                      (("cells", 0, "stations", 1, "id"), 3))
+    out, rep = tmp_path / "out", tmp_path / "rep"
+    assert main(["run", "--scenario", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_OK
+    assert main(["report", str(out / "two_cells_edf_seed3.events.csv"),
+                 "--frames", "400", "--out", str(rep)]) == EXIT_OK
+
+    def header(path):
+        with open(path, newline="") as fh:
+            return next(csv.reader(fh))
+
+    ran = header(out / "summary.csv")
+    assert ran == header(rep / "report_summary.csv")
+    assert [k for k in ran if k.startswith("throughput_bps_station")] == [
+        f"throughput_bps_station{sid}" for sid in (2, 3, 5)]
+
+
 def test_report_header_only_without_frames_exit_2(tmp_path, capsys):
     path = tmp_path / "empty.events.csv"
     path.write_text("frame,time_ms,event,cell,station,request,bits\n")
@@ -561,7 +581,23 @@ def test_report_non_finite_frame_duration_exit_2(tmp_path, capsys, frame_ms):
      "0,5.0,grnt,0,0,1,8\n", "bad.csv:3: unknown event 'grnt'"),
     ('frame,time_ms,event,cell,station,request,bits\n'
      '0,5.0,"grant,x",0,0,1,8\n', "bad.csv:2: unknown event 'grant,x'"),
-], ids=["header", "row", "frame", "frame order", "event", "quoted event"])
+    ("frame,time_ms,event,cell,station,request,bits\n0,5.0,grant,0,0,1,8\n",
+     "bad.csv:2: grant of request 1 has no earlier arrival row"),
+    ("frame,time_ms,event,cell,station,request,bits\n0,1.0,arrival,0,0,1,8\n"
+     "0,5.0,grant,0,0,1,8\n1,6.0,arrival,0,0,1,8\n",
+     "bad.csv:4: second arrival row for request 1"),
+    ("frame,time_ms,event,cell,station,request,bits\n"
+     "0,1000000000.0,arrival,0,0,1,8\n",
+     "bad.csv:2: arrival at 1000000000.0 ms lies outside frame 0"),
+    ("frame,time_ms,event,cell,station,request,bits\n0,5.0,arrival,0,0,1,8\n",
+     "bad.csv:2: arrival at 5.0 ms lies outside frame 0"),
+    ("frame,time_ms,event,cell,station,request,bits\n0,nan,arrival,0,0,1,8\n",
+     "bad.csv:2: malformed row"),
+    ("frame,time_ms,event,cell,station,request,bits\n0,inf,arrival,0,0,1,8\n",
+     "bad.csv:2: malformed row"),
+], ids=["header", "row", "frame", "frame order", "event", "quoted event",
+        "no arrival", "second arrival", "arrival past frame",
+        "arrival at frame end", "nan arrival", "inf arrival"])
 def test_report_malformed_csv_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)

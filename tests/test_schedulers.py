@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import PolicyHarness, edf_select, hedf_checks_per_frame
+from uplinksim import schedulers
 from uplinksim.engine import EventLog, run
 from uplinksim.metrics import count_context_switches
 from uplinksim.model import Scenario, ServiceClass, canonical_scenario
@@ -372,6 +373,29 @@ def test_hedf_forgets_dropped_current_task():
     cur.dropped = True
     assert h.frame(1) == [(nxt, 400)]
     assert h.frame(2) == []
+
+
+def test_hedf_weighs_live_head_behind_dropped_top(monkeypatch):
+    # The best-ranked station's heap top is a dropped request. The ranking
+    # discards it, so the current task is weighed against the live request
+    # behind it, which wins the frame; the dropped one is never granted.
+    h = PolicyHarness("hedf", n_stations=2, capacity=1000)
+    big = h.arrive(0, 5000, 0.0, BE)
+    assert h.frame(0) == [(big, 1000)]  # station 1 now ranks first
+    stale = h.arrive(1, 400, 5.0, RTPS, deadline=10.0)
+    live = h.arrive(1, 400, 5.0, RTPS, deadline=12.0)
+    stale.dropped = True
+    weighed = []
+
+    def recording_decide(mu, next_deadline):
+        weighed.append(next_deadline)
+        return hedf_decide(mu, next_deadline)
+
+    monkeypatch.setattr(schedulers, "hedf_decide", recording_decide)
+    # Projection: 2 ms burst + 20 ms of current remainder + now 5 > 12.
+    assert h.frame(1) == [(live, 400), (big, 600)]
+    assert weighed == [live.deadline]
+    assert stale.served_bits == 0
 
 
 def test_hedf_checks_at_most_once_per_frame_on_canonical():
