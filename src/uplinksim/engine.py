@@ -20,11 +20,15 @@ logged once as a deadline_miss. A deadline exactly on a boundary is still
 pending at that boundary. Missed requests stay queued and are served late,
 unless the scenario sets ``drop_on_miss``, which marks them dropped.
 
-The engine needs no completion times for this. Before allocating a frame
-it takes each request whose deadline is before the frame's closing boundary
-and that is not yet complete; after the grants it logs each as a miss with
-its remainder. Such a deadline is not before the frame's opening boundary,
-so the request met it exactly when it completed before this frame.
+The engine needs no completion times for this. At arrival it files each
+request under its due frame: the first frame, at or after the arrival frame,
+whose closing boundary is past the deadline. A deadline at or past the
+run's last boundary (infinite and NaN ones included) is never due. When a
+frame opens, the engine takes the requests filed under it that are not yet
+complete, in (deadline, id) order; after the grants it logs each as a miss
+with its remainder. A due request's deadline is not before the frame's
+opening boundary, so it met the deadline exactly when it completed before
+this frame.
 
 Event records are 7-tuples ``(frame, time_ms, event, cell, station, request,
 bits)``. Arrivals carry their true arrival time; grant, completion,
@@ -40,9 +44,10 @@ running the same scenario twice gives byte-identical logs.
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List
 
 from .model import ConfigError, Request, Scenario, validate_scenario
 from .schedulers import make_policy
@@ -81,17 +86,24 @@ class EventLog:
 def apply_grant(r: Request, bits: int) -> bool:
     """Advance a request by one grant of ``bits``; True when it completes.
 
+    A completed request holds its size object as ``served_bits``, so a
+    finished request keeps no int of its own.
+
     Over-grants and grants to dropped requests abort the run: a policy that
     emits one is buggy and continuing would corrupt every downstream metric.
     """
-    rem = r.size_bits - r.served_bits
+    size, served = r.size_bits, r.served_bits
+    rem = size - served if served else size
     if bits <= 0 or bits > rem:
         raise InvariantError(
             f"grant of {bits} bits to request {r.id} with {rem} bits remaining")
     if r.dropped:
         raise InvariantError(f"grant to dropped request {r.id}")
-    r.served_bits += bits
-    return r.served_bits == r.size_bits
+    if bits == rem:
+        r.served_bits = size
+        return True
+    r.served_bits = served + bits
+    return False
 
 
 def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
@@ -100,7 +112,6 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     n_frames = scenario.total_frames
     stations = scenario.stations
     by_id = {s.id: s for s in stations}
-    cell_of: Dict[int, int] = {s.id: s.cell_id for s in stations}
     cells = scenario.cells
 
     log = EventLog(
@@ -120,18 +131,20 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     policies = {c.id: make_policy(scenario.scheduler_name, c, by_id,
                                   scenario.ewma_alpha, delta)
                 for c in cells}
-    on_arrival = {sid: policies[cid].on_arrival
-                  for sid, cid in cell_of.items()}
-    cell_runs = [(c.id, c.base_station_capacity, policies[c.id])
+    # Per station: (cell id, the cell policy's on_arrival).
+    arrive = {s.id: (s.cell_id, policies[s.cell_id].on_arrival)
+              for s in stations}
+    # Per cell: [id, capacity, policy, the request its last grant left
+    # incomplete or None]; the context-switch rule of
+    # metrics.count_context_switches.
+    cell_runs = [[c.id, c.base_station_capacity, policies[c.id], None]
                  for c in cells]
 
     drop = scenario.drop_on_miss
-    miss_heap: List[Tuple[float, int, Request]] = []
-    # The frame's due requests that were not complete when it opened.
-    late: List[Request] = []
-    # Per cell: (last granted request, was it incomplete after that grant);
-    # the context-switch rule of metrics.count_context_switches.
-    prev_grant: Dict[int, Tuple[Optional[Request], bool]] = {}
+    last_boundary = (n_frames - 1) * delta + delta
+    # Requests by due frame (see the module docstring).
+    due: Dict[int, List[Request]] = defaultdict(list)
+    by_deadline = attrgetter("deadline", "id")
 
     for f in range(n_frames):
         now = f * delta
@@ -139,46 +152,59 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
 
         for r in buckets[f]:
             sid = r.station_id
+            cid, on_arrival = arrive[sid]
             log.requests[r.id] = r
-            on_arrival[sid](r)
-            ev((f, r.arrival_time, "arrival", cell_of[sid], sid, r.id,
-                r.size_bits))
-            heapq.heappush(miss_heap, (r.deadline, r.id, r))
+            on_arrival(r)
+            ev((f, r.arrival_time, "arrival", cid, sid, r.id, r.size_bits))
+            d = r.deadline
+            if d < boundary:
+                due[f].append(r)
+            elif d < last_boundary:
+                # d // delta is within one frame of the due frame; the
+                # boundary expression itself decides.
+                g = int(d // delta)
+                while g > f + 1 and d < (g - 1) * delta + delta:
+                    g -= 1
+                while g <= f or not d < g * delta + delta:
+                    g += 1
+                due[g].append(r)
 
-        late.clear()
-        while miss_heap and miss_heap[0][0] < boundary:
-            r = heapq.heappop(miss_heap)[2]
-            if r.served_bits < r.size_bits:
-                late.append(r)
+        late = due.pop(f, ())
+        if late:
+            late = [r for r in late if r.served_bits < r.size_bits]
+            late.sort(key=by_deadline)
 
-        for cid, capacity, policy in cell_runs:
+        for cell_run in cell_runs:
+            cid, capacity, policy, open_req = cell_run
             grants = policy.allocate_frame(f, now, capacity)
             if not grants:
                 continue
             total = 0
-            prev, prev_open = prev_grant.get(cid, (None, False))
             for r, bits in grants:
                 total += bits
-                if prev_open and prev is not r:
-                    ev((f, boundary, "context_switch", cid, prev.station_id,
-                        prev.id, 0))
+                if open_req is not None and open_req is not r:
+                    ev((f, boundary, "context_switch", cid,
+                        open_req.station_id, open_req.id, 0))
                 done = apply_grant(r, bits)
                 sid = r.station_id
                 ev((f, boundary, "grant", cid, sid, r.id, bits))
-                prev, prev_open = r, not done
                 if done:
+                    open_req = None
                     ev((f, boundary, "completion", cid, sid, r.id,
                         r.size_bits))
-            prev_grant[cid] = (prev, prev_open)
+                else:
+                    open_req = r
+            cell_run[3] = open_req
             if total > capacity:
                 raise InvariantError(
                     f"cell {cid} granted {total} bits in frame {f}, "
                     f"capacity {capacity}")
 
         for r in late:
-            rem = r.size_bits - r.served_bits
-            ev((f, boundary, "deadline_miss", cell_of[r.station_id],
-                r.station_id, r.id, rem))
+            sid = r.station_id
+            served = r.served_bits
+            rem = r.size_bits - served if served else r.size_bits
+            ev((f, boundary, "deadline_miss", arrive[sid][0], sid, r.id, rem))
             if drop and rem > 0:
                 r.dropped = True
 

@@ -156,12 +156,11 @@ def validate_spec(spec: TrafficSpec) -> List[str]:
 def _constant_rate_packets(spec: TrafficSpec, horizon: float,
                            cap: int) -> int:
     """How many packets, at most ``cap``, a valid constant-rate source emits
-    up to ``horizon`` ms.
+    up to ``horizon`` ms; the traffic generator emits exactly these.
 
-    The generator emits packet ``n`` while ``start_time + n * interval_ms``
-    is below ``min(stop_time, horizon)``. That float expression never falls
-    as ``n`` rises, so bisecting on it counts exactly what the generator
-    would emit.
+    Packet ``n`` is emitted while ``start_time + n * interval_ms`` is below
+    ``min(stop_time, horizon)``. That float expression never falls as ``n``
+    rises, so a bisection on it finds the count.
     """
     end = min(spec.stop_time, horizon)
     start, interval = spec.start_time, spec.interval_ms

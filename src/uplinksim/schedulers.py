@@ -12,7 +12,10 @@ discarded when the policy next reaches it.
 Once a request is granted in a frame, the policy does not look at it again
 in that frame, so no policy needs to know when the engine applies grants. A
 full grant removes the request from the policy's queues; a partial grant
-uses the last of the capacity and so ends the frame.
+uses the last of the capacity and so ends the frame. A grant of a whole
+request that nothing was granted yet carries the request's own
+``size_bits`` object as its bits, so the event rows and the completed
+request share one int per request size.
 
 The five policies:
 
@@ -130,8 +133,9 @@ def _serve(heap: List[_HeapEntry], cap: int, grants: Grants) -> int:
         if r.dropped:
             heapq.heappop(heap)
             continue
-        rem = r.size_bits - r.served_bits
-        g = rem if rem < cap else cap
+        served = r.served_bits
+        rem = r.size_bits - served if served else r.size_bits
+        g = rem if rem <= cap else cap
         grants.append((r, g))
         cap -= g
         if g == rem:
@@ -191,8 +195,9 @@ class RoundRobinPolicy(SchedulerPolicy):
                 if r.dropped:
                     queue.popleft()
                     continue
-                rem = r.size_bits - r.served_bits
-                g = rem if rem < cap else cap
+                served = r.served_bits
+                rem = r.size_bits - served if served else r.size_bits
+                g = rem if rem <= cap else cap
                 grants.append((r, g))
                 cap -= g
                 served_any = True
@@ -371,8 +376,9 @@ class HeuristicEdfPolicy(SsbpfEdfPolicy):
                         ranked = self._ranked_stations()
                     cur = cand
             # The chosen task is out of its heap; grant it first.
-            rem = cur.size_bits - cur.served_bits
-            g = rem if rem < cap else cap
+            served = cur.served_bits
+            rem = cur.size_bits - served if served else cur.size_bits
+            g = rem if rem <= cap else cap
             grants.append((cur, g))
             self._served[cur.station_id] += g
             cap -= g

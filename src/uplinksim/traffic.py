@@ -32,12 +32,11 @@ concatenated in id order.
 from __future__ import annotations
 
 import math
-from itertools import count, islice
 from operator import attrgetter
 from typing import Iterator, List, Tuple
 
 from .model import (IDS_PER_STATION, ConfigError, Request, Scenario,
-                    TrafficSpec, make_request)
+                    TrafficSpec, _constant_rate_packets, make_request)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -74,32 +73,31 @@ def stream_rng(seed: int, station_id: int, source_index: int = 0) -> SplitMix64:
 
 
 def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
-            source_index: int) -> Iterator[Request]:
-    """The requests of one source up to ``horizon`` ms in time order, built
-    as they are drawn.
+            source_index: int, cap: int) -> Iterator[Request]:
+    """At most ``cap`` requests of one source up to ``horizon`` ms, in time
+    order, built as they are drawn.
 
     constant_rate places packets at exact multiples of
-    packet_size_bits / rate_bits_per_s starting at ``start_time``; poisson
-    draws exponential inter-arrivals at the same mean rate from the seeded
-    generator. Deadlines follow the service class offset. Ids count from 0.
+    packet_size_bits / rate_bits_per_s starting at ``start_time``, as many
+    as ``model._constant_rate_packets`` counts; poisson draws exponential
+    inter-arrivals at the same mean rate from the seeded generator.
+    Deadlines follow the service class offset. Ids count from 0.
     """
     end = min(spec.stop_time, horizon)
     cls, size = spec.service_class, spec.packet_size_bits
     if spec.pattern == "constant_rate":
-        interval_ms = spec.interval_ms
-        for rid in count():
-            t = spec.start_time + rid * interval_ms
-            if t >= end:
-                return
-            yield make_request(rid, station_id, cls, t, size)
+        start, interval_ms = spec.start_time, spec.interval_ms
+        for rid in range(_constant_rate_packets(spec, horizon, cap)):
+            yield make_request(rid, station_id, cls,
+                               start + rid * interval_ms, size)
     elif spec.pattern == "poisson":
         rng = stream_rng(seed, station_id, source_index)
         mean_ms = 1000.0 / spec.packets_per_s
         t = spec.start_time + (-math.log(rng.next_unit())) * mean_ms
-        rid = 0
-        while t < end:
+        for rid in range(cap):
+            if t >= end:
+                return
             yield make_request(rid, station_id, cls, t, size)
-            rid += 1
             t += (-math.log(rng.next_unit())) * mean_ms
     else:
         raise ValueError(f"unknown traffic pattern {spec.pattern!r}")
@@ -117,8 +115,8 @@ def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,
     """
     out: List[Request] = []
     for k, spec in enumerate(specs):
-        out.extend(islice(_source(spec, station_id, seed, horizon, k),
-                          IDS_PER_STATION + 1 - len(out)))
+        out.extend(_source(spec, station_id, seed, horizon, k,
+                           IDS_PER_STATION + 1 - len(out)))
         if len(out) > IDS_PER_STATION:
             raise ConfigError([
                 f"traffic_specs[{station_id}]: requests exceed the "

@@ -120,6 +120,45 @@ def test_deadline_policy_boundaries():
     assert [e for e in on_time.events if e[2] == "deadline_miss"] == []
 
 
+def test_deadline_on_a_rounded_boundary_is_pending_there():
+    # 2*0.1 + 0.1 is 0.30000000000000004, frame 2's closing boundary, while
+    # 0.30000000000000004 // 0.1 is 3.0: the boundary expression, not the
+    # quotient, decides that the request is pending at frame 2's boundary
+    # and missed at frame 3's.
+    deadline = 2 * 0.1 + 0.1
+    assert deadline == 0.30000000000000004
+    sc = single_cell_scenario(capacity=100, frames=10, frame_ms=0.1)
+    log = simulate(sc, requests_for(sc, [(0, 0, RTPS, 0.0, 1000, deadline)]))
+    assert [(e[0], e[1], e[6]) for e in log.events
+            if e[2] == "deadline_miss"] == [(3, 3 * 0.1 + 0.1, 600)]
+
+
+def test_deadline_inside_the_arrival_frame_is_missed_there():
+    # Arrival at 6.0 in frame 1 (5.0-10.0) with a 7.5 deadline, and one
+    # already past at arrival: both are missed at 10.0, in frame 1.
+    sc = single_cell_scenario(capacity=100, frames=10)
+    log = simulate(sc, requests_for(sc, [(0, 0, RTPS, 6.0, 1000, 7.5),
+                                         (1, 0, RTPS, 6.0, 1000, 2.0)]))
+    assert [(e[0], e[1], e[5]) for e in log.events
+            if e[2] == "deadline_miss"] == [(1, 10.0, 1), (1, 10.0, 0)]
+
+
+@pytest.mark.parametrize("policy", ["rr", "wrr", "edf", "ssbpf_edf", "hedf"])
+def test_whole_grants_and_completions_share_the_size_object(policy):
+    # A request's size is one int: its whole-request grant rows and, once
+    # complete, its served_bits hold the size_bits object itself.
+    sc = canonical_scenario(seed=1, scheduler_name=policy, total_frames=600)
+    log = simulate(sc, build_requests(sc))
+    completed = [r for r in log.requests.values()
+                 if r.served_bits == r.size_bits]
+    assert completed
+    assert all(r.served_bits is r.size_bits for r in completed)
+    whole = [(e, log.requests[e[5]]) for e in log.events
+             if e[2] == "grant" and e[6] == log.requests[e[5]].size_bits]
+    assert whole
+    assert all(e[6] is r.size_bits for e, r in whole)
+
+
 def test_invalid_scenario_rejected_with_field_path():
     sc = replace(single_cell_scenario(), ewma_alpha=7.0)
     with pytest.raises(ConfigError) as exc:

@@ -61,15 +61,17 @@ def test_engine_invariants_on_random_scenarios(sc):
     capacity = {c.id: c.base_station_capacity for c in sc.cells}
     per_cell_frame = defaultdict(int)
     granted = defaultdict(int)
+    grants_of = defaultdict(list)
     last_grant_frame = {}
-    missed_in = {}
-    for frame, _, kind, cell, _, rid, bits in log.events:
+    miss_rows = defaultdict(list)
+    for frame, time_ms, kind, cell, _, rid, bits in log.events:
         if kind == "grant":
             per_cell_frame[cell, frame] += bits
             granted[rid] += bits
+            grants_of[rid].append((frame, bits))
             last_grant_frame[rid] = frame
         elif kind == "deadline_miss":
-            missed_in[rid] = frame
+            miss_rows[rid].append((frame, time_ms, bits))
 
     for (cell, _), bits in per_cell_frame.items():
         assert bits <= capacity[cell]
@@ -78,11 +80,34 @@ def test_engine_invariants_on_random_scenarios(sc):
         if r.dropped:
             # Dropped in its miss frame, after that frame's grants.
             assert sc.drop_on_miss and r.served_bits < r.size_bits
-            assert last_grant_frame.get(r.id, -1) <= missed_in[r.id]
+            assert last_grant_frame.get(r.id, -1) <= miss_rows[r.id][0][0]
     times = [e[1] for e in log.events]
     assert times == sorted(times)
     frames = [e[0] for e in log.events]
     assert frames == sorted(frames)
+
+    # The miss rule, from the grant rows alone: a request that did not
+    # complete at or before its deadline has one deadline_miss row, in the
+    # frame of the first closing boundary strictly past the deadline, if
+    # that boundary is inside the horizon; any other request has none.
+    delta = sc.frame_duration
+    for r in log.requests.values():
+        done, completed_in = 0, None
+        for frame, bits in grants_of[r.id]:
+            done += bits
+            if done == r.size_bits:
+                completed_in = frame
+        past = [g for g in range(int(r.arrival_time // delta),
+                                 sc.total_frames)
+                if g * delta + delta > r.deadline]
+        met = completed_in is not None and \
+            completed_in * delta + delta <= r.deadline
+        if met or not past:
+            assert miss_rows[r.id] == []
+        else:
+            g = past[0]
+            left = r.size_bits - sum(b for f, b in grants_of[r.id] if f <= g)
+            assert miss_rows[r.id] == [(g, g * delta + delta, left)]
     # compute_metrics counts the engine's context_switch events.
     assert rec.context_switch_count == count_context_switches(log)
 

@@ -1,6 +1,5 @@
 import time
 import tracemalloc
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,9 +187,15 @@ def test_constant_rate_count_is_the_generators(start, stop, rate, size,
                        rate_bits_per_s=rate, packet_size_bits=size,
                        start_time=start, stop_time=max(stop, start + 1e-3))
     cap = 40
-    emitted = len(list(islice(
-        traffic._source(spec, 0, 1, horizon, 0), cap)))
-    assert model._constant_rate_packets(spec, horizon, cap) == emitted
+    # An independent count: step the packet times one by one.
+    end = min(spec.stop_time, horizon)
+    stepped = 0
+    while stepped < cap and spec.start_time + stepped * spec.interval_ms < end:
+        stepped += 1
+    assert model._constant_rate_packets(spec, horizon, cap) == stepped
+    emitted = traffic._source(spec, 0, 1, horizon, 0, cap)
+    assert [r.arrival_time for r in emitted] == \
+        [spec.start_time + n * spec.interval_ms for n in range(stepped)]
 
 
 def test_equal_times_in_one_station_take_ids_in_source_order():
