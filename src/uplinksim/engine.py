@@ -86,24 +86,17 @@ class EventLog:
 def apply_grant(r: Request, bits: int) -> bool:
     """Advance a request by one grant of ``bits``; True when it completes.
 
-    A completed request holds its size object as ``served_bits``, so a
-    finished request keeps no int of its own.
-
     Over-grants and grants to dropped requests abort the run: a policy that
     emits one is buggy and continuing would corrupt every downstream metric.
     """
-    size, served = r.size_bits, r.served_bits
-    rem = size - served if served else size
-    if bits <= 0 or bits > rem:
+    left = r.left_bits
+    if bits <= 0 or bits > left:
         raise InvariantError(
-            f"grant of {bits} bits to request {r.id} with {rem} bits remaining")
+            f"grant of {bits} bits to request {r.id} with {left} bits remaining")
     if r.dropped:
         raise InvariantError(f"grant to dropped request {r.id}")
-    if bits == rem:
-        r.served_bits = size
-        return True
-    r.served_bits = served + bits
-    return False
+    r.left_bits = left = left - bits
+    return not left
 
 
 def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
@@ -171,7 +164,7 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
 
         late = due.pop(f, ())
         if late:
-            late = [r for r in late if r.served_bits < r.size_bits]
+            late = [r for r in late if r.left_bits]
             late.sort(key=by_deadline)
 
         for cell_run in cell_runs:
@@ -202,8 +195,7 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
 
         for r in late:
             sid = r.station_id
-            served = r.served_bits
-            rem = r.size_bits - served if served else r.size_bits
+            rem = r.left_bits
             ev((f, boundary, "deadline_miss", arrive[sid][0], sid, r.id, rem))
             if drop and rem > 0:
                 r.dropped = True

@@ -63,6 +63,8 @@ class Request:
     ``deadline`` is absolute simulation time in ms. For traffic-generated
     requests it always equals ``arrival_time + class offset`` (see
     :func:`make_request`); synthetic test workloads may set it freely.
+    ``left_bits`` are the bits not yet granted; :func:`make_request` starts
+    them as the ``size_bits`` object itself. ``served_bits`` is derived.
     """
 
     id: int
@@ -71,15 +73,20 @@ class Request:
     arrival_time: float
     size_bits: int
     deadline: float
-    served_bits: int = 0
+    left_bits: int
     dropped: bool = False
+
+    @property
+    def served_bits(self) -> int:
+        return self.size_bits - self.left_bits
 
 
 def make_request(req_id: int, station_id: int, service_class: ServiceClass,
                  arrival_time: float, size_bits: int) -> Request:
     """Build a request with the class-derived deadline."""
     return Request(req_id, station_id, service_class, arrival_time,
-                   size_bits, arrival_time + service_class.deadline_offset_ms)
+                   size_bits, arrival_time + service_class.deadline_offset_ms,
+                   size_bits)
 
 
 @dataclass(frozen=True, slots=True)

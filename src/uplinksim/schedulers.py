@@ -12,10 +12,8 @@ discarded when the policy next reaches it.
 Once a request is granted in a frame, the policy does not look at it again
 in that frame, so no policy needs to know when the engine applies grants. A
 full grant removes the request from the policy's queues; a partial grant
-uses the last of the capacity and so ends the frame. A grant of a whole
-request that nothing was granted yet carries the request's own
-``size_bits`` object as its bits, so the event rows and the completed
-request share one int per request size.
+uses the last of the capacity and so ends the frame. A whole grant's bits
+are the request's own ``left_bits`` object.
 
 The five policies:
 
@@ -133,8 +131,7 @@ def _serve(heap: List[_HeapEntry], cap: int, grants: Grants) -> int:
         if r.dropped:
             heapq.heappop(heap)
             continue
-        served = r.served_bits
-        rem = r.size_bits - served if served else r.size_bits
+        rem = r.left_bits
         g = rem if rem <= cap else cap
         grants.append((r, g))
         cap -= g
@@ -195,8 +192,7 @@ class RoundRobinPolicy(SchedulerPolicy):
                 if r.dropped:
                     queue.popleft()
                     continue
-                served = r.served_bits
-                rem = r.size_bits - served if served else r.size_bits
+                rem = r.left_bits
                 g = rem if rem <= cap else cap
                 grants.append((r, g))
                 cap -= g
@@ -270,8 +266,8 @@ class SsbpfEdfPolicy(SchedulerPolicy):
         self._ids = sorted(cell.station_ids)
         self._alpha = ewma_alpha
         self.throughput = {sid: 0.0 for sid in self._ids}
-        # Bits granted per station in the current frame. One dict for the
-        # whole run: a new one per frame raised dense_overload's peak RSS.
+        # Bits granted per station in the frame ``_fold`` ends. One dict for
+        # the whole run: a new one per frame raised dense_overload's peak RSS.
         self._served = {sid: 0 for sid in self._ids}
 
     def on_arrival(self, request: Request) -> None:
@@ -299,20 +295,19 @@ class SsbpfEdfPolicy(SchedulerPolicy):
         return ranked
 
     def _drain(self, ranked: List[int], cap: int, grants: Grants) -> None:
-        """``_serve`` each ranked station in turn until ``cap`` runs out,
-        counting the bits granted per station in the frame."""
-        heaps, served = self._heaps, self._served
+        """``_serve`` each ranked station in turn until ``cap`` runs out."""
+        heaps = self._heaps
         for sid in ranked:
-            left = _serve(heaps[sid], cap, grants)
-            served[sid] += cap - left
-            cap = left
+            cap = _serve(heaps[sid], cap, grants)
             if cap == 0:
                 break
 
-    def _fold(self) -> None:
+    def _fold(self, grants: Grants) -> None:
         """End the frame: one EWMA step per station of the cell over the
-        bits granted to it in the frame, which then restart from 0."""
+        bits ``grants`` gave it, which then restart from 0."""
         th, alpha, served = self.throughput, self._alpha, self._served
+        for r, bits in grants:
+            served[r.station_id] += bits
         for sid, bits in served.items():
             th[sid] = update_historical_throughput(th[sid], bits, alpha)
             served[sid] = 0
@@ -321,7 +316,7 @@ class SsbpfEdfPolicy(SchedulerPolicy):
                        capacity: int) -> Grants:
         grants: Grants = []
         self._drain(self._ranked_stations(), capacity, grants)
-        self._fold()
+        self._fold(grants)
         return grants
 
 
@@ -343,9 +338,8 @@ class HeuristicEdfPolicy(SsbpfEdfPolicy):
 
     def _service_ms(self, r: Request) -> float:
         """Remaining service time at the owning station's capacity."""
-        rem = r.size_bits - r.served_bits
         c = self.stations[r.station_id].capacity_c
-        return rem / c * self.frame_duration_ms
+        return r.left_bits / c * self.frame_duration_ms
 
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
@@ -376,22 +370,20 @@ class HeuristicEdfPolicy(SsbpfEdfPolicy):
                         ranked = self._ranked_stations()
                     cur = cand
             # The chosen task is out of its heap; grant it first.
-            served = cur.served_bits
-            rem = cur.size_bits - served if served else cur.size_bits
+            rem = cur.left_bits
             g = rem if rem <= cap else cap
             grants.append((cur, g))
-            self._served[cur.station_id] += g
             cap -= g
         self._drain(ranked, cap, grants)
         # A partial last grant becomes the current task and leaves its heap.
         self._current = None
         if grants:
             last, g = grants[-1]
-            if g < last.size_bits - last.served_bits:
+            if g < last.left_bits:
                 if last is not cur:
                     heapq.heappop(self._heaps[last.station_id])
                 self._current = last
-        self._fold()
+        self._fold(grants)
         return grants
 
 

@@ -1,7 +1,8 @@
-"""Shared test helpers: a minimal single-cell policy harness that mimics the
-engine's grant application without events or metrics, a linear-scan EDF
-oracle, a per-(station, frame) starvation-window oracle, a counter of hedf's
-keep-or-preempt checks per frame, and a tuple-keyed traffic oracle."""
+"""Shared test helpers: a minimal single-cell policy harness that applies
+grants through the engine's ``apply_grant`` without events or metrics, a
+linear-scan EDF oracle, a per-(station, frame) starvation-window oracle, a
+counter of hedf's keep-or-preempt checks per frame, and a tuple-keyed
+traffic oracle."""
 
 import math
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 
 from uplinksim import schedulers
+from uplinksim.engine import apply_grant
 from uplinksim.model import (Cell, ConfigError, Request, Scenario,
                              ServiceClass, SubscriberStation, TrafficSpec,
                              make_request)
@@ -103,7 +105,9 @@ def hedf_checks_per_frame():
 
 
 class PolicyHarness:
-    """Drives one policy over one cell, applying grants like the engine."""
+    """Drives one policy over one cell, applying grants with the engine's
+    ``apply_grant``, which refuses an over-grant or a grant to a dropped
+    request."""
 
     def __init__(self, policy_name: str, n_stations: int = 1,
                  capacity: int = 1000, frame_ms: float = 5.0,
@@ -138,7 +142,7 @@ class PolicyHarness:
         return r
 
     def backlog(self) -> int:
-        return sum(r.size_bits - r.served_bits
+        return sum(r.left_bits
                    for r in self.requests.values() if not r.dropped)
 
     def frame(self, frame_index: int,
@@ -148,9 +152,8 @@ class PolicyHarness:
         grants = self.policy.allocate_frame(frame_index, now, cap)
         assert sum(bits for _, bits in grants) <= cap
         for r, bits in grants:
-            assert self.requests[r.id] is r and not r.dropped
-            assert 0 < bits <= r.size_bits - r.served_bits
-            r.served_bits += bits
+            assert self.requests[r.id] is r
+            apply_grant(r, bits)
         return grants
 
 

@@ -12,7 +12,9 @@ import pytest
 
 from uplinksim.engine import run
 from uplinksim.metrics import write_events_csv
-from uplinksim.model import canonical_scenario, starvation_scenario
+from uplinksim.model import (Cell, Scenario, ServiceClass,
+                             SubscriberStation, TrafficSpec,
+                             canonical_scenario, starvation_scenario)
 
 FRAMES = 600
 BUILDERS = {"canonical": canonical_scenario,
@@ -62,6 +64,58 @@ FULL_HORIZON_STARVATION_PINS = {
 }
 
 
+
+def uneven_scenario(*, seed: int, scheduler_name: str) -> Scenario:
+    """Two cells whose stations' capacities differ from their cell's and
+    from each other, with UGS, ertPS, rtPS and BE sources of both patterns.
+
+    The default wrr weights are 1, 2, 4 in cell 0 and 1, 3 in cell 1, and
+    hedf projects service at station rates below the cell's. Offered load
+    is about 93% of cell 0 and 85% of cell 1.
+    """
+    def spec(cls, pattern, rate, size, start=0.0):
+        return TrafficSpec(service_class=cls, pattern=pattern,
+                           rate_bits_per_s=rate, packet_size_bits=size,
+                           start_time=start)
+
+    ugs, ertps = ServiceClass.UGS, ServiceClass.ERTPS
+    rtps, be = ServiceClass.RTPS, ServiceClass.BE
+    traffic = {
+        0: (spec(ugs, "constant_rate", 64_000.0, 480),
+            spec(be, "poisson", 32_000.0, 1600)),
+        1: (spec(ertps, "poisson", 96_000.0, 800),
+            spec(rtps, "constant_rate", 64_000.0, 1200, 2.5)),
+        2: (spec(rtps, "poisson", 128_000.0, 2000),
+            spec(be, "poisson", 64_000.0, 3200)),
+        3: (spec(ugs, "constant_rate", 48_000.0, 360),
+            spec(rtps, "poisson", 48_000.0, 960)),
+        4: (spec(ertps, "constant_rate", 72_000.0, 720, 1.0),
+            spec(be, "poisson", 36_000.0, 2400)),
+    }
+    capacity = {0: 400, 1: 800, 2: 1600, 3: 300, 4: 900}
+    cells = [Cell(0, 2400, [0, 1, 2]), Cell(1, 1200, [3, 4])]
+    stations = [SubscriberStation(sid, 0 if sid < 3 else 1, c)
+                for sid, c in capacity.items()]
+    return Scenario(name="uneven", cells=cells, stations=stations,
+                    frame_duration=5.0, total_frames=FRAMES,
+                    traffic_specs=traffic, seed=seed,
+                    scheduler_name=scheduler_name)
+
+
+UNEVEN_PINS = {
+    ("rr", 1): "7203db9c2914797cfc4fdef6de0e3146085e54791f23443465fc70dc314a6e8f",
+    ("rr", 2): "280b4ebe552197e56f6c89fd844bbe4730237f6861a46a804c7d2d313bc9ba49",
+    ("wrr", 1): "28b85c8fdaaf277ac1f48aee6487abf804b02f796ebb3b52892753ac51e128f0",
+    ("wrr", 2): "f2b3a09067b03b6e5d1e3c9e283220bb77acfbcf12727b416780e26b7e5a952d",
+    ("edf", 1): "672bdf9e6d4ce516da0f5f97af13bcca4fdb00710ce72efceadafd23a7a636c3",
+    ("edf", 2): "791aa91388f2091a33c3a68beac738d67e9361ad70dc7fef06b17fd56c694f1b",
+    ("ssbpf_edf", 1): "bb94989df17ab2f378dee413ba903f99c4a32e02cb67c58ab6c0edffbdffa274",
+    ("ssbpf_edf", 2): "fdaa1593955d8080e804b9675b7ac5e5c3c0fcc1e22cd65aa98d32c14db0723d",
+    ("hedf", 1): "38c331d94ceb6ce31f7b6bcdd2f5a89d70e8a56ee9fcfaf9592f627665a5f683",
+    ("hedf", 2): "b5d159f03e24cb07bc3f0d6540747d0357148fc24124f3f87bba97706a724433",
+}
+
+
 def events_digest(sc, tmp_path) -> str:
     log, _ = run(sc)
     path = write_events_csv(log, str(tmp_path / "events.csv"))
@@ -88,3 +142,9 @@ def test_event_csv_digest_full_horizon_starvation(tmp_path, policy):
     sc = starvation_scenario(seed=1, scheduler_name=policy)
     assert sc.total_frames == 12_000
     assert events_digest(sc, tmp_path) == FULL_HORIZON_STARVATION_PINS[policy]
+
+
+@pytest.mark.parametrize("policy,seed", sorted(UNEVEN_PINS))
+def test_event_csv_digest_uneven_capacities(tmp_path, policy, seed):
+    sc = uneven_scenario(seed=seed, scheduler_name=policy)
+    assert events_digest(sc, tmp_path) == UNEVEN_PINS[policy, seed]

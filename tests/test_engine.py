@@ -145,14 +145,13 @@ def test_deadline_inside_the_arrival_frame_is_missed_there():
 
 @pytest.mark.parametrize("policy", ["rr", "wrr", "edf", "ssbpf_edf", "hedf"])
 def test_whole_grants_and_completions_share_the_size_object(policy):
-    # A request's size is one int: its whole-request grant rows and, once
-    # complete, its served_bits hold the size_bits object itself.
+    # A request's size is one int: its whole-request grant rows hold the
+    # size_bits object itself. Completed requests all hold one 0 object.
     sc = canonical_scenario(seed=1, scheduler_name=policy, total_frames=600)
     log = simulate(sc, build_requests(sc))
-    completed = [r for r in log.requests.values()
-                 if r.served_bits == r.size_bits]
+    completed = [r for r in log.requests.values() if r.left_bits == 0]
     assert completed
-    assert all(r.served_bits is r.size_bits for r in completed)
+    assert len({id(r.left_bits) for r in completed}) == 1
     whole = [(e, log.requests[e[5]]) for e in log.events
              if e[2] == "grant" and e[6] == log.requests[e[5]].size_bits]
     assert whole

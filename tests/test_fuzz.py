@@ -30,7 +30,7 @@ specs = st.builds(
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, frame_durations=(1.0, 2.5, 5.0)):
     cells, stations, traffic = [], [], {}
     for cid in range(draw(st.integers(1, 3))):
         sids = []
@@ -46,7 +46,7 @@ def scenarios(draw):
         cells.append(Cell(cid, draw(st.integers(200, 2_000)), sids))
     return Scenario(
         name="fuzz", cells=cells, stations=stations,
-        frame_duration=draw(st.sampled_from([1.0, 2.5, 5.0])),
+        frame_duration=draw(st.sampled_from(frame_durations)),
         total_frames=draw(st.integers(1, 200)),
         traffic_specs=traffic,
         seed=draw(st.integers(0, 2 ** 32)),
@@ -110,6 +110,67 @@ def test_engine_invariants_on_random_scenarios(sc):
             assert miss_rows[r.id] == [(g, g * delta + delta, left)]
     # compute_metrics counts the engine's context_switch events.
     assert rec.context_switch_count == count_context_switches(log)
+
+
+def demand_feasible_cells(sc):
+    """Per cell, the processor-demand test (Baruah, Rosier and Howell,
+    Real-Time Systems 2(4), 1990) in the engine's frame time.
+
+    A request is due by the last frame whose closing boundary is at or
+    before its deadline. For every pair of frames a <= b, the bits of the
+    requests that arrive in frame a or later and are due by frame b must fit
+    in ``C * (b - a + 1)``; a request due before its arrival frame fails
+    alone. Requests whose deadline is at or past the run's last boundary are
+    never due, so they are left out. Returns ``{cell id: passes}``.
+    """
+    delta, n = sc.frame_duration, sc.total_frames
+    last_boundary = (n - 1) * delta + delta
+    cell_of = {s.id: s.cell_id for s in sc.stations}
+    feasible = {c.id: True for c in sc.cells}
+    demand = {c.id: defaultdict(int) for c in sc.cells}
+    for r in build_requests(sc):
+        a = int(r.arrival_time // delta)
+        d = r.deadline
+        if not 0 <= a < n or not d < last_boundary:
+            continue
+        b = max(int(d // delta), a - 1)
+        while b >= a and b * delta + delta > d:
+            b -= 1
+        while (b + 1) * delta + delta <= d:
+            b += 1
+        if b < a:
+            feasible[cell_of[r.station_id]] = False
+        else:
+            demand[cell_of[r.station_id]][a, b] += r.size_bits
+    for c in sc.cells:
+        jobs = sorted(demand[c.id].items(), key=lambda job: job[0][1])
+        for a in {a for (a, _), _ in jobs}:
+            bits = 0
+            for (a_j, b), size in jobs:
+                if a_j >= a:
+                    bits += size
+                    if bits > c.base_station_capacity * (b - a + 1):
+                        feasible[c.id] = False
+    return feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(sc=scenarios(frame_durations=(0.1, 0.3, 1.0, 2.5, 5.0)))
+def test_edf_misses_exactly_where_the_demand_test_fails(sc):
+    # Preemptive EDF with divisible grants is optimal on one cell (Horn,
+    # 1974), so edf logs a miss in a cell exactly when no schedule meets
+    # every deadline there. Frames of 0.1 and 0.3 ms put deadlines on
+    # boundaries that do not round to exact multiples of the frame. Cell
+    # capacities are scaled to the frame's length, so short frames see
+    # loads as high as 5 ms frames do.
+    scale = sc.frame_duration / 5.0
+    sc = replace(sc, scheduler_name="edf", cells=[
+        replace(c, base_station_capacity=max(
+            1, round(c.base_station_capacity * scale))) for c in sc.cells])
+    log, _ = run(sc)
+    missed = {e[3] for e in log.events if e[2] == "deadline_miss"}
+    feasible = demand_feasible_cells(sc)
+    assert missed == {cid for cid, ok in feasible.items() if not ok}
 
 
 @settings(max_examples=60, deadline=None)

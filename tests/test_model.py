@@ -29,12 +29,13 @@ def test_remaining_bits(size, served, expected):
     # apply_grant accepts at most the bits still owed, and completes the
     # request with exactly that many.
     r = make_request(0, 0, ServiceClass.RTPS, 0.0, size)
-    r.served_bits = served
+    r.left_bits = expected
+    assert r.served_bits == served
     with pytest.raises(InvariantError, match=f"{expected} bits remaining"):
         apply_grant(r, expected + 1)
     if expected:
         assert apply_grant(r, expected) is True
-        assert r.served_bits == size
+        assert r.left_bits == 0 and r.served_bits == size
 
 
 def test_make_request_deadline_law():
