@@ -5,15 +5,18 @@ Subcommands::
     uplinksim run      --scenario <name|path> [--policy a,b] [--seed 1,2]
                        [--frames N] [--out DIR] [--force] [--drop-on-miss]
     uplinksim validate <name|path>
-    uplinksim report   <events.csv> [...] [--frame-duration-ms F]
-                       [--frames N] [--out DIR] [--force]
+    uplinksim report   <events.csv> [...] [--frames N] [--out DIR] [--force]
 
 ``run`` executes the cross product of policies and seeds, writes one
-per-event CSV per run plus a combined ``summary.csv``, and prints the summary
-table. ``validate`` checks a config without running and prints the resolved
-effective configuration. ``report`` recomputes global metrics from existing
-per-event CSVs, refusing (exit 2) stamps that contradict the frame duration
-and rows out of frame order. Both hold one event log in memory at a time.
+per-event CSV per run, a combined ``summary.csv`` and a ``manifest.json``
+mapping each events file's name to its run's resolved configuration, and
+prints the summary table. ``validate`` checks a config without running and
+prints the resolved effective configuration. ``report`` recomputes global
+metrics from existing per-event CSVs under the configuration the manifest
+beside each file records, refusing (exit 2) a file it does not list, a
+``--frames`` other than the recorded horizon, a station outside the
+scenario, stamps that contradict the frame duration and rows out of frame
+order. Both hold one event log in memory at a time.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal
 invariant breach.
@@ -69,8 +72,8 @@ from .engine import InvariantError, run
 from .metrics import (MetricsRecord, _guard, compute_metrics, format_table,
                       load_events_csv, summary_row, write_events_csv,
                       write_summary_csv)
-from .model import (CLASS_BY_NAME, DEFAULT_FRAME_MS, Cell, ConfigError,
-                    Scenario, ServiceClass, SubscriberStation, TrafficSpec,
+from .model import (CLASS_BY_NAME, Cell, ConfigError, Scenario,
+                    ServiceClass, SubscriberStation, TrafficSpec,
                     canonical_scenario, starvation_scenario,
                     validate_scenario)
 from .schedulers import POLICY_NAMES
@@ -315,7 +318,8 @@ def cmd_run(args) -> int:
     if len(set(events_paths)) < len(events_paths):
         raise ConfigError(["run: a policy or seed is listed twice"])
     summary_path = os.path.join(args.out, "summary.csv")
-    for path in events_paths + [summary_path]:
+    manifest_path = os.path.join(args.out, "manifest.json")
+    for path in events_paths + [summary_path, manifest_path]:
         _guard(path, args.force)
 
     os.makedirs(args.out, exist_ok=True)
@@ -325,6 +329,11 @@ def cmd_run(args) -> int:
         print(f"wrote {events_path}")
     write_summary_csv(rows, summary_path, force=args.force)
     print(f"wrote {summary_path}")
+    import json  # imported where used, as yaml is, to keep start-up short
+    with open(manifest_path, "w") as fh:
+        json.dump({os.path.basename(path): scenario_to_dict(sc)
+                   for sc, path in zip(runs, events_paths)}, fh, indent=1)
+    print(f"wrote {manifest_path}")
 
     head = ["scenario", "policy", "seed", "throughput_bps", "delay_mean_ms",
             "delay_p95_ms", "deadline_miss_ratio", "context_switch_count"]
@@ -339,15 +348,38 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _reload_metrics(path: str, frame_duration_ms: float,
-                    total_frames: Optional[int]
+def _reload_metrics(path: str, frames: Optional[int]
                     ) -> Tuple[MetricsRecord, List[int]]:
-    """Reload one events CSV and summarise it; only the record and station
+    """Reload one events CSV under the scenario that the ``manifest.json``
+    beside it records for it, and summarise it; only the record and station
     ids outlive the call, so one event log is held at a time."""
+    import json
     if not os.path.exists(path):
         raise ConfigError([f"report: no such file {path}"])
-    log = load_events_csv(path, frame_duration_ms=frame_duration_ms,
-                          total_frames=total_frames)
+    manifest = os.path.join(os.path.dirname(path), "manifest.json")
+    name = os.path.basename(path)
+    try:
+        with open(manifest) as fh:
+            doc = json.load(fh)[name]
+    except (FileNotFoundError, KeyError, TypeError, ValueError):
+        raise ConfigError([f"{path}: no readable entry in {manifest}"])
+    try:
+        sc = scenario_from_dict(doc, name)
+        errors = validate_scenario(sc)
+    except ConfigError as exc:
+        errors = exc.violations
+    if errors:
+        raise ConfigError([f"{manifest}: {name}: {e}" for e in errors])
+    if frames is not None and frames != sc.total_frames:
+        raise ConfigError([f"{path}: --frames {frames} differs from the "
+                           f"recorded horizon of {sc.total_frames} frames"])
+    log = load_events_csv(path, frame_duration_ms=sc.frame_duration,
+                          total_frames=sc.total_frames)
+    log.drop_on_miss = sc.drop_on_miss
+    log.station_ids = sorted(st.id for st in sc.stations)
+    stray = {e[4] for e in log.events}.difference(log.station_ids)
+    if stray:
+        raise ConfigError([f"{path}: station {min(stray)} not in {manifest}"])
     return compute_metrics(log), log.station_ids
 
 
@@ -355,7 +387,7 @@ def cmd_report(args) -> int:
     recs = []
     station_ids: List[int] = []
     for path in args.events:
-        rec, ids = _reload_metrics(path, args.frame_duration_ms, args.frames)
+        rec, ids = _reload_metrics(path, args.frames)
         station_ids = sorted(set(station_ids) | set(ids))
         recs.append((os.path.basename(path), rec))
     rows = [summary_row(name, "", 0, rec, station_ids) for name, rec in recs]
@@ -396,9 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("report", help="re-summarize existing event CSVs")
     pp.add_argument("events", nargs="+", help="per-event CSV files")
-    pp.add_argument("--frame-duration-ms", type=float,
-                    default=DEFAULT_FRAME_MS)
-    pp.add_argument("--frames", type=int, default=None)
+    pp.add_argument("--frames", type=int, help="cross-check of the horizon")
     pp.add_argument("--out", help="also write a summary CSV here")
     pp.add_argument("--force", action="store_true")
     pp.set_defaults(func=cmd_report)

@@ -34,7 +34,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .engine import EVENT_TYPES, EventLog
 from .model import DEFAULT_FRAME_MS, ConfigError, ServiceClass
@@ -315,13 +315,15 @@ class _Shared(dict):
         return value
 
 
-def load_events_csv(path: str, *,
-                    frame_duration_ms: float = DEFAULT_FRAME_MS,
-                    total_frames: Optional[int] = None) -> EventLog:
+def load_events_csv(path: str, *, total_frames: int,
+                    frame_duration_ms: float = DEFAULT_FRAME_MS) -> EventLog:
     """Rebuild a log from a per-event CSV for re-summarising.
 
-    The file does not carry the frame duration, so every non-arrival row is
-    checked against the engine's stamp ``frame*delta + delta`` for
+    The file records neither the run's frame duration and horizon, which
+    the caller passes, nor its ``station_ids`` and ``drop_on_miss``, which
+    the caller sets on the log before ``compute_metrics`` (``report`` takes
+    all four from the run's manifest). Every non-arrival row is checked
+    against the engine's stamp ``frame*delta + delta`` for
     ``delta = frame_duration_ms``. A mismatch, a malformed file (a NaN or
     infinite time included), an event name outside ``EVENT_TYPES``, a row
     whose frame is lower than the row before it, a run of no frames, or a
@@ -397,8 +399,6 @@ def load_events_csv(path: str, *,
                 [f"{path}:{reader.line_num}: malformed row: {exc}"]) from exc
     if bad is not None:
         raise ConfigError([bad])
-    if total_frames is None:
-        total_frames = frame + 1
     if total_frames <= 0:
         raise ConfigError([f"{path}: duration must be > 0 frames, got "
                            f"{total_frames}"])
@@ -408,7 +408,6 @@ def load_events_csv(path: str, *,
     return EventLog(
         frame_duration_ms=delta,
         total_frames=total_frames,
-        station_ids=sorted({e[4] for e in events}),
         events=events,
         requests=requests,
     )

@@ -1,5 +1,6 @@
 import copy
 import csv
+import json
 import math
 import os
 import re
@@ -15,7 +16,8 @@ import yaml
 from uplinksim import cli, engine
 from uplinksim.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                            load_scenario, main, scenario_to_dict)
-from uplinksim.model import ConfigError
+from uplinksim.model import ConfigError, ServiceClass
+from uplinksim.schedulers import POLICY_NAMES
 
 
 GOOD_CONFIG = {
@@ -71,7 +73,8 @@ def test_run_two_policies_same_arrivals(tmp_path, capsys):
     assert rc == EXIT_OK
     files = sorted(os.listdir(out))
     assert files == ["canonical_edf_seed1.events.csv",
-                     "canonical_hedf_seed1.events.csv", "summary.csv"]
+                     "canonical_hedf_seed1.events.csv", "manifest.json",
+                     "summary.csv"]
 
     def arrivals(path):
         with open(path) as fh:
@@ -176,6 +179,21 @@ def test_run_stale_summary_without_force_writes_nothing(tmp_path):
     assert rc == EXIT_IO
     assert os.listdir(out) == ["summary.csv"]
     assert (out / "summary.csv").read_text() == "stale\n"
+
+
+def test_run_stale_manifest_without_force_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")
+    rc = main(["run", "--scenario", "canonical", "--policy", "edf",
+               "--frames", "50", "--out", str(out)])
+    assert rc == EXIT_IO
+    assert os.listdir(out) == ["manifest.json"]
+    assert main(["run", "--scenario", "canonical", "--policy", "edf",
+                 "--frames", "50", "--out", str(out), "--force"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest == {"canonical_edf_seed1.events.csv": scenario_to_dict(
+        load_scenario("canonical", total_frames=50))}
 
 
 def test_validate_builtin_ok(capsys):
@@ -427,7 +445,8 @@ def test_run_from_config_file(tmp_path):
     rc = main(["run", "--scenario", path, "--policy", "wrr,ssbpf_edf",
                "--seed", "1,2", "--out", out])
     assert rc == EXIT_OK
-    assert len(os.listdir(out)) == 4 + 1  # 2 policies x 2 seeds + summary
+    # 2 policies x 2 seeds, the summary and the manifest
+    assert len(os.listdir(out)) == 4 + 2
 
 
 def test_frames_extends_a_file_without_stop(tmp_path):
@@ -458,8 +477,7 @@ def test_report_recomputes(tmp_path, capsys):
           "--frames", "400", "--out", out])
     events = os.path.join(out, "canonical_edf_seed1.events.csv")
     capsys.readouterr()
-    rc = main(["report", events, "--frame-duration-ms", "5.0",
-               "--frames", "400"])
+    rc = main(["report", events, "--frames", "400"])
     assert rc == EXIT_OK
     assert "throughput_bps" in capsys.readouterr().out
 
@@ -486,17 +504,27 @@ def test_load_scenario_unknown_name():
         load_scenario("no_such_builtin")
 
 
+def edit_manifest(directory, change):
+    """Apply ``change`` to every entry of the run manifest in
+    ``directory``."""
+    path = Path(directory, "manifest.json")
+    manifest = json.loads(path.read_text())
+    for doc in manifest.values():
+        change(doc)
+    path.write_text(json.dumps(manifest))
+
+
 def test_report_refuses_wrong_frame_duration(tmp_path, capsys):
     out = str(tmp_path / "out")
     main(["run", "--scenario", "canonical", "--policy", "edf", "--seed", "1",
           "--frames", "400", "--out", out])
     events = os.path.join(out, "canonical_edf_seed1.events.csv")
+    edit_manifest(out, lambda doc: doc.update(frame_duration_ms=2.0))
     capsys.readouterr()
-    rc = main(["report", events, "--frame-duration-ms", "2",
-               "--frames", "400"])
+    rc = main(["report", events])
     assert rc == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "implies a frame duration of 5.0 ms" in captured.err
+    assert "implies a frame duration of 5.0 ms, not 2.0 ms" in captured.err
     assert captured.out == ""
 
 
@@ -508,15 +536,16 @@ def test_report_refuses_horizon_shorter_than_the_log(tmp_path, capsys):
     with open(events) as fh:
         last_frame = int(fh.readlines()[-1].split(",")[0])
     rep = tmp_path / "rep"
+    edit_manifest(out, lambda doc: doc.update(total_frames=last_frame))
     capsys.readouterr()
-    assert main(["report", events, "--frames", str(last_frame),
-                 "--out", str(rep)]) == EXIT_CONFIG
+    assert main(["report", events, "--out", str(rep)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"{events}: an event at frame {last_frame} lies past the horizon " \
         f"of {last_frame} frames" in captured.err
     assert captured.out == ""
     assert not (rep / "report_summary.csv").exists()
     # The run's own horizon reproduces its summary row.
+    edit_manifest(out, lambda doc: doc.update(total_frames=50))
     assert main(["report", events, "--frames", "50",
                  "--out", str(rep)]) == EXIT_OK
     with open(out / "summary.csv", newline="") as fh:
@@ -529,6 +558,23 @@ def test_report_refuses_horizon_shorter_than_the_log(tmp_path, capsys):
             or k.startswith("delay_") and k.endswith("_ms")]
     assert len(same) == 8 + 2 * 14  # global columns, two per station
     assert {k: reported[k] for k in same} == {k: ran[k] for k in same}
+
+
+def test_report_refuses_frames_other_than_the_recorded_horizon(tmp_path,
+                                                               capsys):
+    out, rep = tmp_path / "out", tmp_path / "rep"
+    assert main(["run", "--scenario", "canonical", "--policy", "edf",
+                 "--frames", "50", "--out", str(out)]) == EXIT_OK
+    events = str(out / "canonical_edf_seed1.events.csv")
+    for frames in ("49", "51", "100"):
+        capsys.readouterr()
+        assert main(["report", events, "--frames", frames,
+                     "--out", str(rep)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{events}: --frames {frames} differs from the recorded " \
+            "horizon of 50 frames" in captured.err
+        assert captured.out == ""
+    assert not rep.exists()
 
 
 def test_run_and_report_list_station_columns_in_id_order(tmp_path):
@@ -551,21 +597,150 @@ def test_run_and_report_list_station_columns_in_id_order(tmp_path):
         f"throughput_bps_station{sid}" for sid in (2, 3, 5)]
 
 
+def assert_report_matches_run(out, rep):
+    """Row by row, ``report_summary.csv`` has the columns of ``summary.csv``
+    and equal values in all but the identity columns and the per-class
+    delays, which the events CSV does not carry."""
+    def rows(path):
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    ran, reported = rows(out / "summary.csv"), rows(rep / "report_summary.csv")
+    assert len(reported) == len(ran)
+    for r, p in zip(ran, reported):
+        assert list(p) == list(r)
+        same = [k for k in r if k not in ("scenario", "policy", "seed")
+                and not (k.startswith("delay_") and not k.endswith("_ms"))]
+        assert {k: p[k] for k in same} == {k: r[k] for k in same}
+
+
+def one_cell(name, stations, **config):
+    """A 400-frame scenario of one 1200-bit cell; ``stations`` maps each
+    station id to its traffic list."""
+    return {"name": name, "frame_duration_ms": 5.0, "total_frames": 400,
+            "seed": 1, **config,
+            "cells": [{"id": 0, "capacity_bits_per_frame": 1200,
+                       "stations": [{"id": sid, "traffic": traffic}
+                                    for sid, traffic in stations.items()]}]}
+
+
+def source(cls, pattern, rate, size, **extra):
+    return {"class": cls, "pattern": pattern, "rate_bits_per_s": rate,
+            "packet_size_bits": size, **extra}
+
+
+REPORT_CASES = {
+    # Traffic stops at 100 ms, so the last 380 frames log nothing; the
+    # horizon is not the last event's frame plus one.
+    "idle tail": (one_cell("idle_tail", {
+        0: [source("rtPS", "constant_rate", 64000, 800, stop_ms=100)]}),
+        ["edf"]),
+    # A 4000-bit UGS packet cannot meet its 5 ms deadline at 1200 bits per
+    # frame, so each one misses and, under drop_on_miss, drops its
+    # remainder; station 0 then holds nothing until its next packet 20 ms
+    # later. Reloaded with drops off, those frames read as starved.
+    "drop on miss": (one_cell("ugs_be", {
+        0: [source("UGS", "constant_rate", 200000, 4000)],
+        1: [source("BE", "poisson", 96000, 1600)]}, drop_on_miss=True),
+        ["rr", "wrr", "edf", "ssbpf_edf", "hedf"]),
+    # Station 1 has no traffic, so it logs nothing, yet it has columns.
+    "silent station": (one_cell("silent", {
+        0: [source("rtPS", "constant_rate", 64000, 800)], 1: []}), ["edf"]),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_report_reproduces_run_summary_without_flags(tmp_path, case):
+    doc, policies = REPORT_CASES[case]
+    out, rep = tmp_path / "out", tmp_path / "rep"
+    assert main(["run", "--scenario", write_config(tmp_path, doc),
+                 "--policy", ",".join(policies), "--out", str(out)]) == EXIT_OK
+    assert main(["report", *(str(out / f"{doc['name']}_{p}_seed1.events.csv")
+                             for p in policies),
+                 "--out", str(rep)]) == EXIT_OK
+    assert_report_matches_run(out, rep)
+
+
+def test_wimax_mix_example_validates_runs_and_reports(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "examples" / "wimax_mix.yaml"
+    assert main(["validate", str(path)]) == EXIT_OK
+    stations = [st for cell in yaml.safe_load(capsys.readouterr().out)["cells"]
+                for st in cell["stations"]]
+    # All five 802.16 classes, on stations of pairwise different capacity.
+    assert sorted(t["class"] for st in stations for t in st["traffic"]) == \
+        sorted(c.value for c in ServiceClass)
+    assert len({st["capacity_bits_per_frame"] for st in stations}) == \
+        len(stations)
+    out, rep = tmp_path / "out", tmp_path / "rep"
+    assert main(["run", "--scenario", str(path), "--frames", "600",
+                 "--policy", ",".join(POLICY_NAMES),
+                 "--out", str(out)]) == EXIT_OK
+    assert main(["report", *(str(out / f"wimax_mix_{p}_seed1.events.csv")
+                             for p in POLICY_NAMES),
+                 "--out", str(rep)]) == EXIT_OK
+    assert_report_matches_run(out, rep)
+
+
 def test_report_header_only_without_frames_exit_2(tmp_path, capsys):
+    # No run wrote this file, so no manifest records its scenario.
     path = tmp_path / "empty.events.csv"
     path.write_text("frame,time_ms,event,cell,station,request,bits\n")
     assert main(["report", str(path)]) == EXIT_CONFIG
-    assert "duration must be > 0" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"{path}: no readable entry in {tmp_path / 'manifest.json'}" \
+        in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("manifest", ['{"other.events.csv": {}}', "[]",
+                                      "{", ""],
+                         ids=["other file", "list", "truncated", "empty"])
+def test_report_refuses_a_file_its_manifest_does_not_list(tmp_path, capsys,
+                                                          manifest):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "canonical", "--policy", "edf",
+                 "--frames", "50", "--out", str(out)]) == EXIT_OK
+    (out / "manifest.json").write_text(manifest)
+    events = out / "canonical_edf_seed1.events.csv"
+    capsys.readouterr()
+    assert main(["report", str(events)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{events}: no readable entry in {out / 'manifest.json'}" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_report_refuses_a_station_outside_the_scenario(tmp_path, capsys):
+    out, rep = tmp_path / "out", tmp_path / "rep"
+    assert main(["run", "--scenario", write_config(tmp_path, GOOD_CONFIG),
+                 "--out", str(out)]) == EXIT_OK
+    edit_manifest(out, lambda doc: doc["cells"][1].update(stations=[]))
+    events = out / "two_cells_edf_seed3.events.csv"
+    capsys.readouterr()
+    assert main(["report", str(events), "--out", str(rep)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{events}: station 2 not in {out / 'manifest.json'}" \
+        in captured.err
+    assert captured.out == ""
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("frame_ms", ["nan", "inf"])
 def test_report_non_finite_frame_duration_exit_2(tmp_path, capsys, frame_ms):
-    path = tmp_path / "empty.events.csv"
-    path.write_text("frame,time_ms,event,cell,station,request,bits\n")
-    assert main(["report", str(path), "--frames", "5",
-                 "--frame-duration-ms", frame_ms]) == EXIT_CONFIG
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "canonical", "--policy", "edf",
+                 "--frames", "50", "--out", str(out)]) == EXIT_OK
+    edit_manifest(out, lambda doc: doc.update(
+        frame_duration_ms=float(frame_ms)))
+    text = (out / "manifest.json").read_text()
+    assert ('"frame_duration_ms": ' + {"nan": "NaN", "inf": "Infinity"}[
+        frame_ms]) in text
+    capsys.readouterr()
+    assert main(["report", str(out / "canonical_edf_seed1.events.csv")]) \
+        == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "duration must be > 0 and finite" in captured.err
+    assert f"{out / 'manifest.json'}: canonical_edf_seed1.events.csv: " \
+        "frame_duration: must be finite and > 0" in captured.err
     assert captured.out == ""
 
 
@@ -601,6 +776,8 @@ def test_report_non_finite_frame_duration_exit_2(tmp_path, capsys, frame_ms):
 def test_report_malformed_csv_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"bad.csv": GOOD_CONFIG}))
     assert main(["report", str(path)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
 

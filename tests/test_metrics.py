@@ -46,9 +46,11 @@ def test_throughput_empty():
 
 def test_throughput_duration_contract(tmp_path):
     # A reloaded log must span at least one frame of positive, finite
-    # duration.
+    # duration, and the file does not say how many: the caller does.
     path = write_events_csv(synthetic_log([]), str(tmp_path / "empty.csv"))
-    for kwargs in ({}, {"total_frames": 0},
+    with pytest.raises(TypeError, match="total_frames"):
+        load_events_csv(path)
+    for kwargs in ({"total_frames": 0},
                    *({"total_frames": 10, "frame_duration_ms": delta}
                      for delta in (0.0, float("nan"), float("inf")))):
         with pytest.raises(ConfigError, match="duration must be > 0"):
@@ -310,6 +312,9 @@ def test_event_csv_replay_matches_in_memory(tmp_path):
 
     reloaded = load_events_csv(path, frame_duration_ms=log.frame_duration_ms,
                                total_frames=log.total_frames)
+    # The file does not list the stations either; the run's scenario does.
+    assert reloaded.station_ids == []
+    reloaded.station_ids = sorted(st.id for st in sc.stations)
     rec2 = compute_metrics(reloaded)
     assert rec2.throughput_bps == rec.throughput_bps
     assert rec2.delay_ms == rec.delay_ms
@@ -329,7 +334,7 @@ def test_load_events_csv_accepts_csv_variants_and_shares_values(tmp_path):
         b'300,1505.0,"grant",1000,1000,70000,600\n'
         b"300,1505.0,completion,1000,1000,70000,400,,\n"
         b"301,1510.0,grant,1000,1000,70000,400\n")
-    log = load_events_csv(str(path))
+    log = load_events_csv(str(path), total_frames=302)
     assert log.events == [(300, 1501.5, "arrival", 1000, 1000, 70000, 1000),
                           (300, 1505.0, "grant", 1000, 1000, 70000, 600),
                           (300, 1505.0, "completion", 1000, 1000, 70000, 400),
