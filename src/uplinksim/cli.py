@@ -9,8 +9,9 @@ Subcommands::
 
 ``run`` executes the cross product of policies and seeds, writes one
 per-event CSV per run, a combined ``summary.csv`` and a ``manifest.json``
-mapping each events file's name to its run's resolved configuration, and
-prints the summary table. ``validate`` checks a config without running and
+mapping each events file's name to its run's resolved configuration (with
+``--force`` it keeps the entries an earlier call wrote there), and prints
+the summary table. ``validate`` checks a config without running and
 prints the resolved effective configuration. ``report`` recomputes global
 metrics from existing per-event CSVs under the configuration the manifest
 beside each file records, refusing (exit 2) a file it does not list, a
@@ -330,9 +331,20 @@ def cmd_run(args) -> int:
     write_summary_csv(rows, summary_path, force=args.force)
     print(f"wrote {summary_path}")
     import json  # imported where used, as yaml is, to keep start-up short
+    # With --force, earlier calls' entries stay, so their files still report.
+    entries = {}
+    if args.force:
+        try:
+            with open(manifest_path) as fh:
+                entries = json.load(fh)
+        except (OSError, ValueError):
+            pass
+        if not isinstance(entries, dict):
+            entries = {}
+    entries.update((os.path.basename(path), scenario_to_dict(sc))
+                   for sc, path in zip(runs, events_paths))
     with open(manifest_path, "w") as fh:
-        json.dump({os.path.basename(path): scenario_to_dict(sc)
-                   for sc, path in zip(runs, events_paths)}, fh, indent=1)
+        json.dump(entries, fh, indent=1)
     print(f"wrote {manifest_path}")
 
     head = ["scenario", "policy", "seed", "throughput_bps", "delay_mean_ms",

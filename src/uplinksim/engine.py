@@ -5,14 +5,17 @@ frame to their cell's policy (at the frame start, so a request can be served
 in its arrival frame), (2) let every policy grant its cell's capacity as
 ``(request, bits)`` pairs, (3) apply the grants,
 (4) record completions and deadline misses at the closing frame boundary.
-Step (2) calls every cell's policy, idle cells included, so that a ranking
-policy steps its stations' smoothed throughputs every frame (see
-``schedulers``). The log's ``final_station_throughput`` merges the ranking
-policies' end-of-run throughputs into one fresh dict; it is empty under
-``rr``, ``wrr`` and ``edf``.
+Arrivals are read by walking the time-ordered request list, so the loop
+keeps no per-frame request lists. Step (2) calls every cell's policy, idle
+cells included, so that a ranking policy steps its stations' smoothed
+throughputs every frame (see ``schedulers``). The log's
+``final_station_throughput`` merges the ranking policies' end-of-run
+throughputs into one fresh dict; it is empty under ``rr``, ``wrr`` and
+``edf``.
 
-Frame ``f`` opens at ``f*delta`` and closes at ``f*delta + delta``, computed
-as exactly these float expressions (see ``metrics.load_events_csv``).
+Frame ``f`` opens at ``f*delta`` and closes at ``frame_close(f, delta)``,
+``f*delta + delta``, computed as exactly these float expressions (see
+``metrics.load_events_csv``). A run computes its closing boundaries once.
 
 Deadline-miss rule: at the first closing boundary strictly past its
 deadline, a request that did not complete at or before the deadline is
@@ -22,9 +25,10 @@ unless the scenario sets ``drop_on_miss``, which marks them dropped.
 
 The engine needs no completion times for this. At arrival it files each
 request under its due frame: the first frame, at or after the arrival frame,
-whose closing boundary is past the deadline. A deadline at or past the
-run's last boundary (infinite and NaN ones included) is never due. When a
-frame opens, the engine takes the requests filed under it that are not yet
+whose closing boundary is past the deadline, found by bisection over the
+run's non-decreasing closing boundaries. A deadline at or past the run's
+last boundary (infinite and NaN ones included) is never due. When a frame
+opens, the engine takes the requests filed under it that are not yet
 complete, in (deadline, id) order; after the grants it logs each as a miss
 with its remainder. A due request's deadline is not before the frame's
 opening boundary, so it met the deadline exactly when it completed before
@@ -36,6 +40,9 @@ deadline_miss and context_switch records are stamped at the closing boundary
 of their frame, which keeps the log time-ordered. The ``bits`` column holds
 the request size for arrivals and completions, the granted bits for grants,
 the unserved remainder for deadline misses, and 0 for context switches.
+Equal values share one int: an untouched request's whole grant and its
+completion carry the request's ``size_bits`` object, and equal partial-grant
+bit counts and the remainders they leave come from one table per run.
 
 A run never mutates its Scenario, whose values are frozen: the run's state
 is the requests, regenerated from the scenario seed, and its policies, so
@@ -44,6 +51,8 @@ running the same scenario twice gives byte-identical logs.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -99,8 +108,19 @@ def apply_grant(r: Request, bits: int) -> bool:
     return not left
 
 
+def frame_close(f: int, delta: float) -> float:
+    """The closing boundary of frame ``f``: the stamp of its non-arrival
+    events."""
+    return f * delta + delta
+
+
 def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
-    """Run the frame loop over an explicit, time-ordered request list."""
+    """Run the frame loop over an explicit, time-ordered request list.
+
+    Arrivals are read in list order, so a request whose arrival frame is
+    below the previous request's raises ValueError. Arrivals before frame 0
+    or at or past the horizon never arrive.
+    """
     delta = scenario.frame_duration
     n_frames = scenario.total_frames
     stations = scenario.stations
@@ -115,12 +135,6 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     )
     ev = log.events.append
 
-    buckets: List[List[Request]] = [[] for _ in range(n_frames)]
-    for r in requests:
-        f = int(r.arrival_time // delta)
-        if 0 <= f < n_frames:
-            buckets[f].append(r)
-
     policies = {c.id: make_policy(scenario.scheduler_name, c, by_id,
                                   scenario.ewma_alpha, delta)
                 for c in cells}
@@ -134,32 +148,41 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                  for c in cells]
 
     drop = scenario.drop_on_miss
-    last_boundary = (n_frames - 1) * delta + delta
+    closes = [frame_close(f, delta) for f in range(n_frames)]
     # Requests by due frame (see the module docstring).
     due: Dict[int, List[Request]] = defaultdict(list)
     by_deadline = attrgetter("deadline", "id")
+    # One int per distinct partial-grant or remainder value.
+    share = {}.setdefault
+    # requests[i] is the first request not yet read.
+    i, n_req, last = 0, len(requests), -math.inf
 
     for f in range(n_frames):
         now = f * delta
-        boundary = now + delta
+        boundary = closes[f]
 
-        for r in buckets[f]:
+        while i < n_req:
+            r = requests[i]
+            a = int(r.arrival_time // delta)
+            if a > f:
+                break
+            i += 1
+            if a < f:
+                # Only frame 0 reads arrivals of earlier frames in order:
+                # those before its own arrivals, which are skipped (``last``
+                # is the latest one's frame). Read anywhere else, such an
+                # arrival follows one in frame f: the list is out of order.
+                if log.requests or a < last:
+                    raise _out_of_order(r, a, f if log.requests else last)
+                last = a
+                continue
             sid = r.station_id
             cid, on_arrival = arrive[sid]
             log.requests[r.id] = r
             on_arrival(r)
             ev((f, r.arrival_time, "arrival", cid, sid, r.id, r.size_bits))
-            d = r.deadline
-            if d < boundary:
-                due[f].append(r)
-            elif d < last_boundary:
-                # d // delta is within one frame of the due frame; the
-                # boundary expression itself decides.
-                g = int(d // delta)
-                while g > f + 1 and d < (g - 1) * delta + delta:
-                    g -= 1
-                while g <= f or not d < g * delta + delta:
-                    g += 1
+            g = bisect_right(closes, r.deadline, f)
+            if g < n_frames:
                 due[g].append(r)
 
         late = due.pop(f, ())
@@ -179,6 +202,10 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                     ev((f, boundary, "context_switch", cid,
                         open_req.station_id, open_req.id, 0))
                 done = apply_grant(r, bits)
+                if not done:
+                    bits = share(bits, bits)
+                    left = r.left_bits
+                    r.left_bits = share(left, left)
                 sid = r.station_id
                 ev((f, boundary, "grant", cid, sid, r.id, bits))
                 if done:
@@ -200,9 +227,22 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
             if drop and rem > 0:
                 r.dropped = True
 
+    # Requests past the horizon never arrive, but their order is checked.
+    last = -math.inf
+    for r in requests[i:]:
+        a = int(r.arrival_time // delta)
+        if a < last:
+            raise _out_of_order(r, a, last)
+        last = a
+
     log.final_station_throughput = {
         sid: th for p in policies.values() for sid, th in p.throughput.items()}
     return log
+
+
+def _out_of_order(r: Request, a: int, last: int) -> ValueError:
+    return ValueError(f"request {r.id} arrives in frame {a}, before frame "
+                      f"{last} of the request listed before it")
 
 
 def run(scenario: Scenario):

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .engine import EVENT_TYPES, EventLog
+from .engine import EVENT_TYPES, EventLog, frame_close
 from .model import DEFAULT_FRAME_MS, ConfigError, ServiceClass
 
 CLASS_ORDER = [c.value for c in ServiceClass]
@@ -323,7 +323,7 @@ def load_events_csv(path: str, *, total_frames: int,
     the caller passes, nor its ``station_ids`` and ``drop_on_miss``, which
     the caller sets on the log before ``compute_metrics`` (``report`` takes
     all four from the run's manifest). Every non-arrival row is checked
-    against the engine's stamp ``frame*delta + delta`` for
+    against the engine's stamp ``engine.frame_close(frame, delta)`` for
     ``delta = frame_duration_ms``. A mismatch, a malformed file (a NaN or
     infinite time included), an event name outside ``EVENT_TYPES``, a row
     whose frame is lower than the row before it, a run of no frames, or a
@@ -374,7 +374,7 @@ def load_events_csv(path: str, *, total_frames: int,
                         raise ConfigError([
                             f"{path}:{reader.line_num}: frame {f} after "
                             f"frame {frame}; rows must be in frame order"])
-                    frame, stamp = f, f * delta + delta
+                    frame, stamp = f, frame_close(f, delta)
                 if kind == "arrival":
                     if int(t // delta) != f and bad is None:
                         bad = (f"{path}:{reader.line_num}: arrival at {t!r} "

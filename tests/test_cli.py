@@ -661,6 +661,23 @@ def test_report_reproduces_run_summary_without_flags(tmp_path, case):
     assert_report_matches_run(out, rep)
 
 
+def test_run_force_keeps_earlier_manifest_entries(tmp_path):
+    # A second run --force into the same --out keeps the first call's
+    # entry, so its events CSV still reports.
+    out, first, rep = tmp_path / "d", tmp_path / "first", tmp_path / "rep"
+    assert main(["run", "--scenario", "canonical", "--policy", "edf",
+                 "--frames", "50", "--out", str(out)]) == EXIT_OK
+    first.mkdir()
+    (first / "summary.csv").write_bytes((out / "summary.csv").read_bytes())
+    assert main(["run", "--scenario", "canonical", "--policy", "hedf",
+                 "--frames", "50", "--out", str(out), "--force"]) == EXIT_OK
+    assert sorted(json.loads((out / "manifest.json").read_text())) == [
+        "canonical_edf_seed1.events.csv", "canonical_hedf_seed1.events.csv"]
+    assert main(["report", str(out / "canonical_edf_seed1.events.csv"),
+                 "--out", str(rep)]) == EXIT_OK
+    assert_report_matches_run(first, rep)
+
+
 def test_wimax_mix_example_validates_runs_and_reports(tmp_path, capsys):
     path = Path(__file__).resolve().parents[1] / "examples" / "wimax_mix.yaml"
     assert main(["validate", str(path)]) == EXIT_OK

@@ -158,6 +158,50 @@ def test_whole_grants_and_completions_share_the_size_object(policy):
     assert all(e[6] is r.size_bits for e, r in whole)
 
 
+@pytest.mark.parametrize("policy", ["rr", "wrr", "edf", "ssbpf_edf", "hedf"])
+def test_equal_partial_grants_and_remainders_share_one_int(policy):
+    # Grant rows whose bits are not their request's size (partial grants
+    # and the grants that finish them) hold one int per value, and so do
+    # the unfinished requests' remainders. A partial grant may equal
+    # another request's size, which is that request's own object.
+    sc = canonical_scenario(seed=1, scheduler_name=policy, total_frames=600)
+    log = simulate(sc, build_requests(sc))
+    objects = defaultdict(set)
+    for e in log.events:
+        if e[2] == "grant" and e[6] != log.requests[e[5]].size_bits:
+            objects["grant", e[6]].add(id(e[6]))
+    assert objects
+    for r in log.requests.values():
+        if r.left_bits:
+            objects["left", r.left_bits].add(id(r.left_bits))
+    assert any(kind == "left" for kind, _ in objects)
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+@pytest.mark.parametrize("first,second,frames", [
+    (7.5, 2.0, (0, 1)), (100.0, 2.0, (0, 20)), (2.0, -1.0, (-1, 0)),
+    (-1.0, -6.0, (-2, -1))])
+def test_arrivals_out_of_list_order_are_refused(first, second, frames):
+    # The second request arrives a frame before the first, which may lie
+    # past the horizon or before frame 0: refused, naming the second.
+    sc = single_cell_scenario(capacity=1000, frames=10)
+    backwards = [make_request(0, 0, RTPS, first, 400),
+                 make_request(1, 0, RTPS, second, 400)]
+    with pytest.raises(ValueError, match=f"request 1 arrives in frame "
+                       f"{frames[0]}, before frame {frames[1]} "):
+        simulate(sc, backwards)
+
+
+def test_arrivals_outside_the_run_never_arrive():
+    sc = single_cell_scenario(capacity=1000, frames=10)
+    # Arrivals before frame 0 or at or past the horizon never arrive.
+    log = simulate(sc, [make_request(0, 0, RTPS, -1.0, 400),
+                        make_request(1, 0, RTPS, 2.0, 400),
+                        make_request(2, 0, RTPS, 50.0, 400)])
+    assert sorted(log.requests) == [1]
+    assert {e[5] for e in log.events} == {1}
+
+
 def test_invalid_scenario_rejected_with_field_path():
     sc = replace(single_cell_scenario(), ewma_alpha=7.0)
     with pytest.raises(ConfigError) as exc:
