@@ -3,10 +3,10 @@
 Each frame, in order: (1) hand the arrivals whose time falls inside the
 frame to their cell's policy (at the frame start, so a request can be served
 in its arrival frame), (2) let every policy grant its cell's capacity as
-``(request, bits)`` pairs, (3) apply the grants,
-(4) record completions and deadline misses at the closing frame boundary.
-Arrivals are read by walking the time-ordered request list, so the loop
-keeps no per-frame request lists. Step (2) calls every cell's policy, idle
+``(request, bits)`` pairs, (3) apply the grants, (4) record completions and
+deadline misses at the closing frame boundary. Step (1) takes one frame's
+arrivals at a time from ``_arrivals``, which reads the request list in order
+and states the arrival contract. Step (2) calls every cell's policy, idle
 cells included, so that a ranking policy steps its stations' smoothed
 throughputs every frame (see ``schedulers``). The log's
 ``final_station_throughput`` merges the ranking policies' end-of-run
@@ -56,7 +56,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from .model import ConfigError, Request, Scenario, validate_scenario
 from .schedulers import make_policy
@@ -80,7 +80,7 @@ class EventLog:
     station_ids: List[int] = field(default_factory=list)  # ascending
     events: List[tuple] = field(default_factory=list)
     # Request objects by id; for logs reloaded from CSV this holds the
-    # lighter ReqInfo view, which has no service class (see
+    # lighter ReqInfo view, whose service_class is None (see
     # metrics.load_events_csv).
     requests: Dict[int, object] = field(default_factory=dict)
     # Smoothed per-station throughput at end of run (bits/frame), for the
@@ -114,13 +114,36 @@ def frame_close(f: int, delta: float) -> float:
     return f * delta + delta
 
 
-def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
-    """Run the frame loop over an explicit, time-ordered request list.
+def _arrivals(requests: List[Request], delta: float,
+              n_frames: int) -> Iterator[Tuple[int, List[Request]]]:
+    """Yield ``(frame, its arrivals)`` for each frame of the run that has
+    arrivals. Every request is read and checked in list order: a NaN or
+    infinite arrival time, or a frame below the previous request's, raises
+    ValueError naming it. Requests outside the run's frames are not yielded."""
+    last = -math.inf
+    batch = []
+    for r in requests:
+        try:
+            a = int(r.arrival_time // delta)
+        except (ValueError, OverflowError):
+            raise ValueError(f"request {r.id} has arrival time "
+                             f"{r.arrival_time}, in no frame") from None
+        if a < last:
+            raise ValueError(f"request {r.id} arrives in frame {a}, before "
+                             f"frame {last} of the request listed before it")
+        if a != last:
+            if 0 <= last < n_frames:
+                yield last, batch
+            last, batch = a, []
+        batch.append(r)
+    if 0 <= last < n_frames:
+        yield last, batch
 
-    Arrivals are read in list order, so a request whose arrival frame is
-    below the previous request's raises ValueError. Arrivals before frame 0
-    or at or past the horizon never arrive.
-    """
+
+def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
+    """Run the frame loop over a time-ordered request list, read by
+    ``_arrivals``, which refuses a request out of list order or with a NaN or
+    infinite arrival time."""
     delta = scenario.frame_duration
     n_frames = scenario.total_frames
     stations = scenario.stations
@@ -154,36 +177,26 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     by_deadline = attrgetter("deadline", "id")
     # One int per distinct partial-grant or remainder value.
     share = {}.setdefault
-    # requests[i] is the first request not yet read.
-    i, n_req, last = 0, len(requests), -math.inf
+    # The next frame with arrivals; the end marker matches no frame.
+    arrivals = _arrivals(requests, delta, n_frames)
+    end = (n_frames, ())
+    a, batch = next(arrivals, end)
 
     for f in range(n_frames):
         now = f * delta
         boundary = closes[f]
 
-        while i < n_req:
-            r = requests[i]
-            a = int(r.arrival_time // delta)
-            if a > f:
-                break
-            i += 1
-            if a < f:
-                # Only frame 0 reads arrivals of earlier frames in order:
-                # those before its own arrivals, which are skipped (``last``
-                # is the latest one's frame). Read anywhere else, such an
-                # arrival follows one in frame f: the list is out of order.
-                if log.requests or a < last:
-                    raise _out_of_order(r, a, f if log.requests else last)
-                last = a
-                continue
-            sid = r.station_id
-            cid, on_arrival = arrive[sid]
-            log.requests[r.id] = r
-            on_arrival(r)
-            ev((f, r.arrival_time, "arrival", cid, sid, r.id, r.size_bits))
-            g = bisect_right(closes, r.deadline, f)
-            if g < n_frames:
-                due[g].append(r)
+        if a == f:
+            for r in batch:
+                sid = r.station_id
+                cid, on_arrival = arrive[sid]
+                log.requests[r.id] = r
+                on_arrival(r)
+                ev((f, r.arrival_time, "arrival", cid, sid, r.id, r.size_bits))
+                g = bisect_right(closes, r.deadline, f)
+                if g < n_frames:
+                    due[g].append(r)
+            a, batch = next(arrivals, end)
 
         late = due.pop(f, ())
         if late:
@@ -227,22 +240,9 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
             if drop and rem > 0:
                 r.dropped = True
 
-    # Requests past the horizon never arrive, but their order is checked.
-    last = -math.inf
-    for r in requests[i:]:
-        a = int(r.arrival_time // delta)
-        if a < last:
-            raise _out_of_order(r, a, last)
-        last = a
-
     log.final_station_throughput = {
         sid: th for p in policies.values() for sid, th in p.throughput.items()}
     return log
-
-
-def _out_of_order(r: Request, a: int, last: int) -> ValueError:
-    return ValueError(f"request {r.id} arrives in frame {a}, before frame "
-                      f"{last} of the request listed before it")
 
 
 def run(scenario: Scenario):

@@ -179,7 +179,7 @@ def compute_metrics(log: EventLog) -> MetricsRecord:
     completed_bits_by_station: Dict[int, int] = {
         sid: 0 for sid in log.station_ids}
     delays: List[float] = []
-    delays_by_class: Dict[str, List[float]] = {}
+    delays_by_class: Dict[ServiceClass, List[float]] = {}
     misses = 0
     switches = 0
 
@@ -195,9 +195,9 @@ def compute_metrics(log: EventLog) -> MetricsRecord:
             info = requests[rid]
             delay = e[1] - info.arrival_time
             delays.append(delay)
-            cls = getattr(info, "service_class", None)
+            cls = info.service_class
             if cls is not None:
-                delays_by_class.setdefault(cls.value, []).append(delay)
+                delays_by_class.setdefault(cls, []).append(delay)
         elif kind == "deadline_miss":
             misses += 1
         elif kind == "context_switch":
@@ -209,9 +209,9 @@ def compute_metrics(log: EventLog) -> MetricsRecord:
             sid: bits / duration_s
             for sid, bits in completed_bits_by_station.items()},
         delay_ms=delay_stats(delays),
-        delay_ms_by_class={
-            key: delay_stats(vals)
-            for key, vals in sorted(delays_by_class.items())},
+        delay_ms_by_class=dict(sorted(
+            (cls.value, delay_stats(vals))
+            for cls, vals in delays_by_class.items())),
         deadline_miss_ratio=(misses / total_requests) if total_requests else 0.0,
         max_starvation_window_ms=compute_starvation_windows(log),
         context_switch_count=switches,
@@ -301,6 +301,7 @@ class ReqInfo:
     station_id: int
     arrival_time: float
     size_bits: int
+    service_class = None  # the arrival row records none
 
 
 class _Shared(dict):
@@ -334,8 +335,8 @@ def load_events_csv(path: str, *, total_frames: int,
     a non-arrival row before its request's arrival row. That row is named
     once the whole file has parsed, so a stamp mismatch, which a wrong
     ``delta`` makes too, is reported first. Service classes are not part of
-    the event schema, so ``ReqInfo`` carries none, and ``compute_metrics``
-    gives a reloaded log no per-class delay stats.
+    the event schema, so a ``ReqInfo``'s ``service_class`` is None, and
+    ``compute_metrics`` gives a reloaded log no per-class delay stats.
 
     Rows share their values as the engine's log does: one int per frame,
     one stamp per frame, the engine's event names and one int per distinct

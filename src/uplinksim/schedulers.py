@@ -336,10 +336,11 @@ class HeuristicEdfPolicy(SsbpfEdfPolicy):
         super().__init__(cell, stations, ewma_alpha, frame_duration_ms)
         self._current: Optional[Request] = None
 
-    def _service_ms(self, r: Request) -> float:
-        """Remaining service time at the owning station's capacity."""
+    def _service_ms(self, bits: int, r: Request) -> float:
+        """Service time of ``bits`` of ``r`` at its station's capacity: the
+        projection of every claim_value input."""
         c = self.stations[r.station_id].capacity_c
-        return r.left_bits / c * self.frame_duration_ms
+        return bits / c * self.frame_duration_ms
 
     def allocate_frame(self, frame: int, now: float,
                        capacity: int) -> Grants:
@@ -352,13 +353,10 @@ class HeuristicEdfPolicy(SsbpfEdfPolicy):
         if cur is not None:
             if ranked:
                 cand = self._heaps[ranked[0]][0][3]
-                c_cur = self.stations[cur.station_id].capacity_c
                 mu = claim_value(
-                    burst_next=self._service_ms(cand),
-                    total_current=cur.size_bits / c_cur
-                    * self.frame_duration_ms,
-                    elapsed_current=cur.served_bits / c_cur
-                    * self.frame_duration_ms,
+                    burst_next=self._service_ms(cand.left_bits, cand),
+                    total_current=self._service_ms(cur.size_bits, cur),
+                    elapsed_current=self._service_ms(cur.served_bits, cur),
                     now=now,
                 )
                 if hedf_decide(mu, cand.deadline).outcome is Outcome.SWITCH:

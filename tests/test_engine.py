@@ -1,3 +1,4 @@
+import math
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, replace
 
@@ -190,6 +191,17 @@ def test_arrivals_out_of_list_order_are_refused(first, second, frames):
     with pytest.raises(ValueError, match=f"request 1 arrives in frame "
                        f"{frames[0]}, before frame {frames[1]} "):
         simulate(sc, backwards)
+
+
+@pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+def test_arrival_time_in_no_frame_is_refused(arrival):
+    # NaN and infinite arrival times lie in no frame: refused, naming the
+    # request and its arrival time.
+    sc = single_cell_scenario(capacity=1000, frames=10)
+    with pytest.raises(ValueError, match=f"request 1 has arrival time "
+                       f"{arrival}, in no frame"):
+        simulate(sc, [make_request(0, 0, RTPS, 2.0, 400),
+                      make_request(1, 0, RTPS, arrival, 400)])
 
 
 def test_arrivals_outside_the_run_never_arrive():

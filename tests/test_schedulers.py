@@ -398,6 +398,31 @@ def test_hedf_weighs_live_head_behind_dropped_top(monkeypatch):
     assert stale.served_bits == 0
 
 
+def test_hedf_projection_reads_the_station_rate(monkeypatch):
+    # Each claim_value input is a bit count served at its request's own
+    # station rate, bits / capacity_c * frame_duration_ms, not at the cell
+    # capacity.
+    h = PolicyHarness("hedf", n_stations=2, capacity=1000,
+                      station_caps=[400, 250])
+    cur = h.arrive(0, 1500, 0.0, BE)
+    assert h.frame(0) == [(cur, 1000)]
+    h.arrive(1, 300, 5.0, RTPS)  # the candidate
+    inputs = []
+
+    def recording_claim_value(**kwargs):
+        inputs.append(kwargs)
+        return claim_value(**kwargs)
+
+    monkeypatch.setattr(schedulers, "claim_value", recording_claim_value)
+    h.frame(1)
+    assert inputs[0] == {
+        "burst_next": 300 / 250 * h.frame_ms,
+        "total_current": 1500 / 400 * h.frame_ms,
+        "elapsed_current": 1000 / 400 * h.frame_ms,
+        "now": 5.0,
+    }
+
+
 def test_hedf_checks_at_most_once_per_frame_on_canonical():
     # The keep-or-preempt check runs only at a frame start, for the task the
     # last frame left partly served. 1461 of this run's 4200 cell-frames
