@@ -361,12 +361,12 @@ def cmd_validate(args) -> int:
 
 
 def _reload_metrics(path: str, frames: Optional[int]
-                    ) -> Tuple[MetricsRecord, List[int]]:
+                    ) -> Tuple[MetricsRecord, Scenario]:
     """Reload one events CSV under the scenario that the ``manifest.json``
-    beside it records for it, and summarise it; only the record and station
-    ids outlive the call, so one event log is held at a time."""
+    beside it records for it, and summarise it; only the record and that
+    scenario outlive the call, so one event log is held at a time."""
     import json
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError([f"report: no such file {path}"])
     manifest = os.path.join(os.path.dirname(path), "manifest.json")
     name = os.path.basename(path)
@@ -392,17 +392,19 @@ def _reload_metrics(path: str, frames: Optional[int]
     stray = {e[4] for e in log.events}.difference(log.station_ids)
     if stray:
         raise ConfigError([f"{path}: station {min(stray)} not in {manifest}"])
-    return compute_metrics(log), log.station_ids
+    return compute_metrics(log), sc
 
 
 def cmd_report(args) -> int:
     recs = []
     station_ids: List[int] = []
     for path in args.events:
-        rec, ids = _reload_metrics(path, args.frames)
-        station_ids = sorted(set(station_ids) | set(ids))
-        recs.append((os.path.basename(path), rec))
-    rows = [summary_row(name, "", 0, rec, station_ids) for name, rec in recs]
+        rec, sc = _reload_metrics(path, args.frames)
+        station_ids = sorted(set(station_ids)
+                             | {st.id for st in sc.stations})
+        recs.append((os.path.basename(path), sc, rec))
+    rows = [summary_row(name, sc.scheduler_name, sc.seed, rec, station_ids)
+            for name, sc, rec in recs]
     head = ["throughput_bps", "delay_mean_ms", "delay_p95_ms",
             "deadline_miss_ratio", "context_switch_count"]
     print(format_table(["file"] + head,

@@ -65,6 +65,8 @@ class Request:
     :func:`make_request`); synthetic test workloads may set it freely.
     ``left_bits`` are the bits not yet granted; :func:`make_request` starts
     them as the ``size_bits`` object itself. ``served_bits`` is derived.
+    Requests of equal constant-rate sources in one traffic build also share
+    their ``arrival_time`` and ``deadline`` floats (see ``traffic``).
     """
 
     id: int

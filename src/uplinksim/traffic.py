@@ -27,13 +27,18 @@ merge, so they rise along it. A scenario's requests are ordered by arrival
 time, then station id, then id. Each order is one stable sort on the arrival
 time alone: of the sources concatenated in index order, and of the stations
 concatenated in id order.
+
+Sharing: within one ``build_requests`` call, constant-rate sources of equal
+class, start, interval and packet count share one arrival float and one
+deadline float per packet, as all stations of ``canonical`` do. Requests are
+never shared: each is its own object, the state of the run.
 """
 
 from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .model import (IDS_PER_STATION, ConfigError, Request, Scenario,
                     TrafficSpec, _constant_rate_packets, make_request)
@@ -73,7 +78,8 @@ def stream_rng(seed: int, station_id: int, source_index: int = 0) -> SplitMix64:
 
 
 def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
-            source_index: int, cap: int) -> Iterator[Request]:
+            source_index: int, cap: int,
+            built: Dict[tuple, List[Request]]) -> Iterator[Request]:
     """At most ``cap`` requests of one source up to ``horizon`` ms, in time
     order, built as they are drawn.
 
@@ -82,14 +88,28 @@ def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
     as ``model._constant_rate_packets`` counts; poisson draws exponential
     inter-arrivals at the same mean rate from the seeded generator.
     Deadlines follow the service class offset. Ids count from 0.
+
+    A constant-rate source's times are fixed by its class, start, interval
+    and count alone. ``built`` maps those four to the requests of the first
+    source that has them; a later one yields fresh requests of its own
+    station and size that hold the first one's arrival and deadline floats.
     """
     end = min(spec.stop_time, horizon)
     cls, size = spec.service_class, spec.packet_size_bits
     if spec.pattern == "constant_rate":
         start, interval_ms = spec.start_time, spec.interval_ms
-        for rid in range(_constant_rate_packets(spec, horizon, cap)):
-            yield make_request(rid, station_id, cls,
-                               start + rid * interval_ms, size)
+        n = _constant_rate_packets(spec, horizon, cap)
+        first = built.setdefault((cls, start, interval_ms, n), [])
+        if first:
+            for rid, t in enumerate(first):
+                yield Request(rid, station_id, cls, t.arrival_time, size,
+                              t.deadline, size)
+            return
+        for rid in range(n):
+            r = make_request(rid, station_id, cls, start + rid * interval_ms,
+                             size)
+            first.append(r)
+            yield r
     elif spec.pattern == "poisson":
         rng = stream_rng(seed, station_id, source_index)
         mean_ms = 1000.0 / spec.packets_per_s
@@ -104,19 +124,24 @@ def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
 
 
 def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,
-                     seed: int, horizon: float) -> List[Request]:
+                     seed: int, horizon: float,
+                     built: Optional[Dict[tuple, List[Request]]] = None
+                     ) -> List[Request]:
     """Merge all of one station's sources into a single time-ordered stream.
 
     Ids are assigned after the merge from the station's private namespace, so
     they are stable for a fixed (specs, seed, station) triple. A station that
     would emit more requests than its namespace holds raises ConfigError
     rather than reuse the next station's ids; generation stops at the first
-    request past the namespace.
+    request past the namespace. ``built`` is the constant-rate table of
+    ``_source``; without it the station's sources share only among
+    themselves.
     """
+    built = {} if built is None else built
     out: List[Request] = []
     for k, spec in enumerate(specs):
         out.extend(_source(spec, station_id, seed, horizon, k,
-                           IDS_PER_STATION + 1 - len(out)))
+                           IDS_PER_STATION + 1 - len(out), built))
         if len(out) > IDS_PER_STATION:
             raise ConfigError([
                 f"traffic_specs[{station_id}]: requests exceed the "
@@ -131,10 +156,12 @@ def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,
 def build_requests(sc: Scenario) -> List[Request]:
     """All requests of a scenario, ordered by (arrival, station, id)."""
     horizon = sc.duration_ms
+    built: Dict[tuple, List[Request]] = {}
     everything: List[Request] = []
     for st in sorted(sc.stations, key=attrgetter("id")):
         specs = sc.traffic_specs.get(st.id, ())
         if specs:
-            everything.extend(generate_station(specs, st.id, sc.seed, horizon))
+            everything.extend(generate_station(specs, st.id, sc.seed, horizon,
+                                               built))
     everything.sort(key=attrgetter("arrival_time"))  # ties: station, id
     return everything

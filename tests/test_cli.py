@@ -482,8 +482,15 @@ def test_report_recomputes(tmp_path, capsys):
     assert "throughput_bps" in capsys.readouterr().out
 
 
-def test_report_missing_file_exit_2(tmp_path):
+def test_report_missing_file_exit_2(tmp_path, capsys):
     assert main(["report", str(tmp_path / "ghost.csv")]) == EXIT_CONFIG
+    # A run directory is not a file: its parent's manifest is not read.
+    run_dir = tmp_path / "run"
+    assert main(["run", "--scenario", "starvation", "--frames", "20",
+                 "--out", str(run_dir)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["report", str(run_dir)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: report: no such file {run_dir}\n"
 
 
 def test_invariant_breach_exit_4(monkeypatch, tmp_path):
@@ -599,8 +606,8 @@ def test_run_and_report_list_station_columns_in_id_order(tmp_path):
 
 def assert_report_matches_run(out, rep):
     """Row by row, ``report_summary.csv`` has the columns of ``summary.csv``
-    and equal values in all but the identity columns and the per-class
-    delays, which the events CSV does not carry."""
+    and equal values in all but the scenario column, which names the file,
+    and the per-class delays, which the events CSV does not carry."""
     def rows(path):
         with open(path, newline="") as fh:
             return list(csv.DictReader(fh))
@@ -609,7 +616,7 @@ def assert_report_matches_run(out, rep):
     assert len(reported) == len(ran)
     for r, p in zip(ran, reported):
         assert list(p) == list(r)
-        same = [k for k in r if k not in ("scenario", "policy", "seed")
+        same = [k for k in r if k != "scenario"
                 and not (k.startswith("delay_") and not k.endswith("_ms"))]
         assert {k: p[k] for k in same} == {k: r[k] for k in same}
 
@@ -659,6 +666,22 @@ def test_report_reproduces_run_summary_without_flags(tmp_path, case):
                              for p in policies),
                  "--out", str(rep)]) == EXIT_OK
     assert_report_matches_run(out, rep)
+
+
+def test_report_rows_carry_each_runs_policy_and_seed(tmp_path):
+    out, rep = tmp_path / "out", tmp_path / "rep"
+    assert main(["run", "--scenario", "canonical", "--policy", "edf,hedf",
+                 "--seed", "3,4", "--frames", "20", "--out", str(out)]) == EXIT_OK
+    names = [f"canonical_{p}_seed{s}.events.csv"
+             for p in ("edf", "hedf") for s in (3, 4)]
+    assert main(["report", *(str(out / n) for n in names),
+                 "--out", str(rep)]) == EXIT_OK
+    assert_report_matches_run(out, rep)
+    with open(rep / "report_summary.csv", newline="") as fh:
+        assert [(r["scenario"], r["policy"], r["seed"])
+                for r in csv.DictReader(fh)] == [
+            (names[0], "edf", "3"), (names[1], "edf", "4"),
+            (names[2], "hedf", "3"), (names[3], "hedf", "4")]
 
 
 def test_run_force_keeps_earlier_manifest_entries(tmp_path):

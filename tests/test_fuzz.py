@@ -204,8 +204,8 @@ def test_csv_reload_reproduces_metrics(sc):
         path = write_events_csv(log, os.path.join(tmp, "events.csv"))
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:
             json.dump({"events.csv": scenario_to_dict(sc)}, fh)
-        back, station_ids = _reload_metrics(path, None)
-    assert station_ids == log.station_ids
+        back, recorded = _reload_metrics(path, None)
+    assert sorted(st.id for st in recorded.stations) == log.station_ids
     # Service classes are not in the event schema, so a reloaded log has no
     # per-class delays; every other field is equal.
     assert back.delay_ms_by_class == {}
@@ -228,9 +228,14 @@ tie_prone_specs = st.builds(
 def traffic_scenarios(draw):
     """Stations listed in a drawn order with drawn ids, 1-3 sources each;
     sometimes the first is constant-rate and followed by a twin that differs
-    only in class, so every arrival of the pair ties."""
+    only in class, so every arrival of the pair ties. Sometimes a station
+    also carries one constant-rate source common to the scenario, at a drawn
+    place; a zero start is redrawn from 0, 0.0 and -0.0 per station, which
+    compare equal, so equal sources share floats whatever their start's
+    type."""
     ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=5,
                         unique=True))
+    common = replace(draw(tie_prone_specs), pattern="constant_rate")
     stations, traffic = [], {}
     for sid in ids:
         stations.append(SubscriberStation(id=sid, cell_id=0, capacity_c=1000))
@@ -239,6 +244,12 @@ def traffic_scenarios(draw):
             first = replace(specs[0], pattern="constant_rate")
             specs[:1] = [first, replace(first, service_class=draw(
                 st.sampled_from(list(ServiceClass))))]
+        if draw(st.booleans()):
+            own = common
+            if common.start_time == 0:
+                own = replace(common, start_time=draw(
+                    st.sampled_from([0, 0.0, -0.0])))
+            specs.insert(draw(st.integers(0, len(specs))), own)
         traffic[sid] = tuple(specs)
     return Scenario(
         name="traffic", cells=[Cell(0, 1000, sorted(ids))],

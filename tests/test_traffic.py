@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from uplinksim import engine, model, traffic
 from uplinksim.model import (ConfigError, ServiceClass, TrafficSpec,
-                             starvation_scenario, validate_scenario,
-                             validate_spec)
+                             canonical_scenario, starvation_scenario,
+                             validate_scenario, validate_spec)
 from uplinksim.traffic import SplitMix64, generate_station, stream_rng
 from test_engine import single_cell_scenario
 
@@ -193,7 +194,7 @@ def test_constant_rate_count_is_the_generators(start, stop, rate, size,
     while stepped < cap and spec.start_time + stepped * spec.interval_ms < end:
         stepped += 1
     assert model._constant_rate_packets(spec, horizon, cap) == stepped
-    emitted = traffic._source(spec, 0, 1, horizon, 0, cap)
+    emitted = traffic._source(spec, 0, 1, horizon, 0, cap, {})
     assert [r.arrival_time for r in emitted] == \
         [spec.start_time + n * spec.interval_ms for n in range(stepped)]
 
@@ -213,6 +214,73 @@ def test_equal_times_in_one_station_take_ids_in_source_order():
     for first, second in zip(reqs[::2], reqs[1::2]):
         assert first.arrival_time == second.arrival_time
         assert (first.service_class, second.service_class) == (BE, RTPS)
+
+
+def _by_station(reqs, cls):
+    out = {}
+    for r in reqs:
+        if r.service_class is cls:
+            out.setdefault(r.station_id, []).append(r)
+    return out
+
+
+def test_equal_constant_rate_sources_share_floats_not_requests():
+    # Every canonical station carries the same 64 kbit/s rtPS stream.
+    sc = canonical_scenario(total_frames=400)
+    rtps = _by_station(traffic.build_requests(sc), RTPS)
+    assert len(rtps) == len(sc.stations) == 14
+    assert {len(v) for v in rtps.values()} == {160}
+    for a, b in zip(rtps[0], rtps[13]):
+        assert a is not b and a.id != b.id
+        assert (a.station_id, b.station_id) == (0, 13)
+        assert a.arrival_time is b.arrival_time
+        assert a.deadline is b.deadline
+    # Granting one request, or dropping it, leaves its twin untouched.
+    a, b = rtps[0][5], rtps[13][5]
+    a.left_bits = 0
+    rtps[1][5].dropped = True
+    assert b.left_bits is b.size_bits and b.served_bits == 0
+    assert not b.dropped and not rtps[2][5].dropped
+
+
+def test_poisson_floats_are_never_shared():
+    reqs = traffic.build_requests(canonical_scenario(total_frames=400))
+    be = [r for v in _by_station(reqs, BE).values() for r in v]
+    floats = [id(f) for r in be for f in (r.arrival_time, r.deadline)]
+    assert len(be) > 100 and len(set(floats)) == len(floats)
+
+
+def test_a_source_differing_only_in_start_shares_nothing():
+    spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
+                       rate_bits_per_s=64_000.0, packet_size_bits=800)
+    later = dataclasses.replace(spec, start_time=2.5)
+    sc = single_cell_scenario(n_stations=3, frames=100,
+                              specs={0: (spec,), 1: (later,), 2: (spec,)})
+    rtps = _by_station(traffic.build_requests(sc), RTPS)
+    assert [a.arrival_time is b.arrival_time
+            for a, b in zip(rtps[0], rtps[2])] == [True] * 40
+    floats = {id(f) for r in rtps[0] for f in (r.arrival_time, r.deadline)}
+    assert not floats & {id(f) for r in rtps[1]
+                         for f in (r.arrival_time, r.deadline)}
+
+
+def test_a_source_capped_by_the_id_namespace_shares_nothing(ten_ids):
+    # 64 kbit/s for 125 ms is 10 packets, as many as a station may send; a
+    # source that follows 6 requests of its station is capped at 5, the cap
+    # generate_station passes.
+    spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
+                       rate_bits_per_s=64_000.0, packet_size_bits=800)
+    room = traffic.IDS_PER_STATION + 1
+    built = {}
+    whole = list(traffic._source(spec, 0, 1, 125.0, 0, room, built))
+    capped = list(traffic._source(spec, 1, 1, 125.0, 1, room - 6, built))
+    twin = list(traffic._source(spec, 2, 1, 125.0, 0, room, built))
+    assert (len(whole), len(capped), len(twin)) == (10, 5, 10)
+    assert all(a.arrival_time is b.arrival_time for a, b in zip(whole, twin))
+    assert not any(a.arrival_time is b.arrival_time or a.deadline is b.deadline
+                   for a, b in zip(whole, capped))
+    assert [r.arrival_time for r in capped] == \
+        [r.arrival_time for r in whole[:5]]
 
 
 def test_validate_spec_messages():
