@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .engine import EVENT_TYPES, EventLog, frame_close
+from .engine import EVENT_TYPES, EventLog, Events, frame_close
 from .model import DEFAULT_FRAME_MS, ConfigError, ServiceClass
 
 CLASS_ORDER = [c.value for c in ServiceClass]
@@ -338,15 +338,17 @@ def load_events_csv(path: str, *, total_frames: int,
     the event schema, so a ``ReqInfo``'s ``service_class`` is None, and
     ``compute_metrics`` gives a reloaded log no per-class delay stats.
 
-    Rows share their values as the engine's log does: one int per frame,
-    one stamp per frame, the engine's event names and one int per distinct
-    integer field, each kind from its own cache.
+    Rows are stored flat in one ``engine.Events``, as the engine's log is,
+    and share their values as it does: one int per frame, one stamp per
+    frame, the engine's event names and one int per distinct integer field,
+    each kind from its own cache.
     """
     delta = frame_duration_ms
     if not 0 < delta < math.inf:
         raise ConfigError([f"{path}: frame duration must be > 0 and finite, "
                            f"got {delta!r} ms"])
-    events: List[tuple] = []
+    events = Events()
+    writer = events.writer
     requests: Dict[int, ReqInfo] = {}
     frames = _Shared(int)
     ints = _Shared(int)
@@ -376,6 +378,7 @@ def load_events_csv(path: str, *, total_frames: int,
                             f"{path}:{reader.line_num}: frame {f} after "
                             f"frame {frame}; rows must be in frame order"])
                     frame, stamp = f, frame_close(f, delta)
+                    ev = writer()
                 if kind == "arrival":
                     if int(t // delta) != f and bad is None:
                         bad = (f"{path}:{reader.line_num}: arrival at {t!r} "
@@ -394,7 +397,7 @@ def load_events_csv(path: str, *, total_frames: int,
                     if rid not in requests and bad is None:
                         bad = (f"{path}:{reader.line_num}: {kind} of request "
                                f"{rid} has no earlier arrival row")
-                events.append((f, t, kind, cell, sid, rid, bits))
+                ev((f, t, kind, cell, sid, rid, bits))
         except (ValueError, IndexError, OverflowError) as exc:
             raise ConfigError(
                 [f"{path}:{reader.line_num}: malformed row: {exc}"]) from exc

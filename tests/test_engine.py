@@ -1,10 +1,15 @@
 import math
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, replace
+from itertools import chain
 
 import pytest
 
+from perfbench.checks import check_log
+from perfbench.workloads import dense_overload_scenario
 from uplinksim.engine import InvariantError, apply_grant, run, simulate
+from uplinksim.metrics import (compute_metrics, count_context_switches,
+                               write_events_csv)
 from uplinksim.model import (Cell, ConfigError, Scenario, ServiceClass,
                              SubscriberStation, canonical_scenario,
                              make_request)
@@ -177,6 +182,91 @@ def test_equal_partial_grants_and_remainders_share_one_int(policy):
             objects["left", r.left_bits].add(id(r.left_bits))
     assert any(kind == "left" for kind, _ in objects)
     assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_events_read_back_the_logged_objects_as_a_sequence(tmp_path):
+    # The log stores its records flat and reads them back as 7-tuples of
+    # the stored objects; every reader gives the same result for it as for
+    # a plain list of the same tuples.
+    sc = canonical_scenario(seed=1, scheduler_name="hedf", total_frames=300)
+    log = simulate(sc, build_requests(sc))
+    events = log.events
+    assert isinstance(events, engine.Events)
+    records = list(events)
+    fields = list(chain.from_iterable(events.chunks))
+    assert len(events.chunks) > 1
+    assert {len(c) % 7 for c in events.chunks} == {0}
+    assert len(events) == len(records) == len(fields) // 7
+    assert {len(e) for e in records} == {7}
+    assert all(a is b for a, b in zip(chain.from_iterable(events), fields,
+                                      strict=True))
+    assert [events[i] for i in range(len(records))] == records
+    assert events[-1] == records[-1] == tuple(fields[-7:])
+    assert events[-len(records)] == records[0]
+    with pytest.raises(IndexError):
+        events[len(records)]
+    assert events == records and records == events
+    copied, shorter = engine.Events(), engine.Events()
+    copied += records
+    shorter += records[1:]
+    assert events == copied and events != shorter
+    assert events != records[:-1]
+    grown = engine.Events()
+    grown += records[:3]
+    grown.insert(1, records[5])
+    assert grown == [records[0], records[5], records[1], records[2]]
+    del grown[1]
+    assert grown == records[:3] and len(grown) == 3
+    # Item access reaches records in the first and the last chunk.
+    i = len(records) - 2
+    copied.insert(i, records[0])
+    del copied[i + 1]
+    copied[1] = records[2]
+    assert copied == (records[:1] + records[2:3] + records[2:i]
+                      + records[:1] + records[i + 1:])
+
+    plain = replace(log, events=records)
+    assert compute_metrics(plain) == compute_metrics(log)
+    assert count_context_switches(plain) == count_context_switches(log)
+    for name, which in (("events", log), ("plain", plain)):
+        write_events_csv(which, str(tmp_path / f"{name}.csv"))
+    assert (tmp_path / "events.csv").read_bytes() == \
+        (tmp_path / "plain.csv").read_bytes()
+
+
+@pytest.mark.parametrize("entry", ["append", "insert", "item assignment"])
+@pytest.mark.parametrize("length", [6, 8])
+def test_event_records_of_another_length_are_refused(entry, length):
+    # One short or long record would shift every later record the log reads
+    # back, so each entry point refuses it and leaves the log as it was.
+    record = (0, 5.0, "grant", 0, 0, 1, 400, 0)[:length]
+    events = engine.Events()
+    events.append((0, 1.0, "arrival", 0, 0, 1, 400))
+    before = list(events)
+    with pytest.raises(ValueError, match=f"7 fields, got {length}"):
+        if entry == "append":
+            events.append(record)
+        elif entry == "insert":
+            events.insert(0, record)
+        else:
+            events[0] = record
+    assert events == before
+
+
+def test_item_assignment_corruption_fails_the_conservation_check():
+    # A grant raised by 10,000 bits through item assignment reaches the
+    # benchmark's conservation check as an over-granted request.
+    sc = dense_overload_scenario(1, "edf", 200)
+    capacity = {c.id: c.base_station_capacity for c in sc.cells}
+    log, _ = run(sc)
+    assert check_log(log, capacity, in_memory=True) == []
+    i = next(i for i, e in enumerate(log.events) if e[2] == "grant")
+    rid, bits = log.events[i][5], log.events[i][6]
+    log.events[i] = log.events[i][:6] + (bits + 10_000,)
+    size = log.requests[rid].size_bits
+    failures = check_log(log, capacity, in_memory=True)
+    assert any(m.startswith(f"request {rid}: granted {bits + 10_000} of "
+                            f"{size} bits") for m in failures), failures
 
 
 @pytest.mark.parametrize("first,second,frames", [
