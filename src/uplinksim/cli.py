@@ -389,7 +389,7 @@ def _reload_metrics(path: str, frames: Optional[int]
                           total_frames=sc.total_frames)
     log.drop_on_miss = sc.drop_on_miss
     log.station_ids = sorted(st.id for st in sc.stations)
-    stray = {e[4] for e in log.events}.difference(log.station_ids)
+    stray = {s for _, _, _, _, s, _, _ in log.events} - set(log.station_ids)
     if stray:
         raise ConfigError([f"{path}: station {min(stray)} not in {manifest}"])
     return compute_metrics(log), sc

@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
@@ -87,14 +86,14 @@ def _record(fields) -> tuple:
     return record
 
 
-class Events(MutableSequence):
+class Events:
     """Event records stored flat: each list in ``chunks`` holds the seven
     fields of whole records in order, and the records read back as 7-tuples
     of the stored objects. ``simulate`` and ``metrics.load_events_csv``
     extend the list that ``writer`` returns, seven fields at a time, and
-    call ``writer`` again at each new frame. ``append``, ``insert`` and
-    item assignment refuse a record of another length. Equal to another
-    ``Events`` or a list holding the same 7-tuples.
+    call ``writer`` again at each new frame. Readers iterate the records,
+    take their ``len`` or read one by int index; ``append`` and item
+    assignment refuse a record of another length.
 
     Chunks of about ``CHUNK_FIELDS`` fields, not one list, because one list
     of millions of slots grows by reallocation, and once a run has freed
@@ -125,14 +124,12 @@ class Events(MutableSequence):
                                    for it in map(iter, self.chunks))
 
     def _find(self, i: int) -> Tuple[list, int]:
-        """The chunk of record ``i``, for ``0 <= i <= len(self)``, and the
-        index of its first field there; record ``len(self)`` starts at the
-        end of the last chunk."""
+        """The chunk of record ``i``, for ``0 <= i < len(self)``, and the
+        index of its first field there."""
         for chunk in self.chunks:
             if 7 * i < len(chunk):
                 return chunk, 7 * i
             i -= len(chunk) // 7
-        return chunk, len(chunk)
 
     def __getitem__(self, i: int) -> tuple:
         chunk, j = self._find(range(len(self))[i])
@@ -142,19 +139,8 @@ class Events(MutableSequence):
         chunk, j = self._find(range(len(self))[i])
         chunk[j:j + 7] = _record(record)
 
-    def __delitem__(self, i: int) -> None:
-        chunk, j = self._find(range(len(self))[i])
-        del chunk[j:j + 7]
-
-    def insert(self, i: int, record) -> None:
-        record = _record(record)
-        chunk, j = self._find(slice(i, None).indices(len(self))[0])
-        chunk[j:j] = record
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Events, list)):
-            return list(self) == list(other)
-        return NotImplemented
+    def append(self, record) -> None:
+        self.writer()(_record(record))
 
 
 @dataclass
@@ -164,14 +150,15 @@ class EventLog:
     ``events`` is read only by iterating it, taking its ``len`` or indexing
     it, and yields 7-tuples ``(frame, time_ms, event, cell, station,
     request, bits)``: a run's log holds an ``Events``, and a plain list of
-    7-tuples serves every reader alike.
+    7-tuples serves every reader alike. ``Events`` defines no equality, so
+    two logs' records compare as ``list(log.events)``.
     """
 
     frame_duration_ms: float
     total_frames: int
     drop_on_miss: bool = False
     station_ids: List[int] = field(default_factory=list)  # ascending
-    events: Sequence[tuple] = field(default_factory=Events)
+    events: Events | List[tuple] = field(default_factory=Events)
     # Request objects by id; for logs reloaded from CSV this holds the
     # lighter ReqInfo view, whose service_class is None (see
     # metrics.load_events_csv).

@@ -184,16 +184,14 @@ def compute_metrics(log: EventLog) -> MetricsRecord:
     switches = 0
 
     requests = log.requests
-    for e in log.events:
-        kind = e[2]
+    for _, t, kind, _, sid, rid, bits in log.events:
         if kind == "arrival":
-            offered_bits += e[6]
+            offered_bits += bits
             total_requests += 1
         elif kind == "completion":
-            rid = e[5]
-            completed_bits_by_station[e[4]] += e[6]
+            completed_bits_by_station[sid] += bits
             info = requests[rid]
-            delay = e[1] - info.arrival_time
+            delay = t - info.arrival_time
             delays.append(delay)
             cls = info.service_class
             if cls is not None:
@@ -297,8 +295,6 @@ def parse_summary_csv(path: str) -> List[Dict[str, object]]:
 class ReqInfo:
     """Minimal request view reconstructed from an arrival row."""
 
-    id: int
-    station_id: int
     arrival_time: float
     size_bits: int
     service_class = None  # the arrival row records none
@@ -386,7 +382,7 @@ def load_events_csv(path: str, *, total_frames: int,
                     elif rid in requests and bad is None:
                         bad = (f"{path}:{reader.line_num}: second arrival "
                                f"row for request {rid}")
-                    requests[rid] = ReqInfo(rid, sid, t, bits)
+                    requests[rid] = ReqInfo(t, bits)
                 else:
                     if t != stamp:
                         raise ConfigError([

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .model import (IDS_PER_STATION, ConfigError, Request, Scenario,
                     TrafficSpec, _constant_rate_packets, make_request)
@@ -70,7 +70,7 @@ class SplitMix64:
         return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
 
 
-def stream_rng(seed: int, station_id: int, source_index: int = 0) -> SplitMix64:
+def stream_rng(seed: int, station_id: int, source_index: int) -> SplitMix64:
     state = (seed
              ^ ((station_id + 1) * _GOLDEN)
              ^ ((source_index + 1) * _STREAM)) & _MASK64
@@ -125,8 +125,7 @@ def _source(spec: TrafficSpec, station_id: int, seed: int, horizon: float,
 
 def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,
                      seed: int, horizon: float,
-                     built: Optional[Dict[tuple, List[Request]]] = None
-                     ) -> List[Request]:
+                     built: Dict[tuple, List[Request]]) -> List[Request]:
     """Merge all of one station's sources into a single time-ordered stream.
 
     Ids are assigned after the merge from the station's private namespace, so
@@ -134,10 +133,8 @@ def generate_station(specs: Tuple[TrafficSpec, ...], station_id: int,
     would emit more requests than its namespace holds raises ConfigError
     rather than reuse the next station's ids; generation stops at the first
     request past the namespace. ``built`` is the constant-rate table of
-    ``_source``; without it the station's sources share only among
-    themselves.
+    ``_source``.
     """
-    built = {} if built is None else built
     out: List[Request] = []
     for k, spec in enumerate(specs):
         out.extend(_source(spec, station_id, seed, horizon, k,

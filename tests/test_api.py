@@ -57,21 +57,46 @@ def used_names(tree):
             yield node.value
 
 
-def test_every_defined_name_is_used():
-    # No unused helpers: each top-level name in src/ is used in src/, is
-    # public, or is looked up by the benchmark. Imports are not uses.
+def src_trees_and_names_read():
+    """The parsed modules of src/, and every name read in src/ or
+    perfbench/."""
     trees = {path: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert trees
     used = {name for tree in trees.values() for name in used_names(tree)}
     for path in sorted(PERFBENCH.glob("*.py")):
         used.update(used_names(ast.parse(path.read_text())))
+    return trees, used
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_defined_name_is_used():
+    # No unused helpers: each top-level name in src/ is used in src/, is
+    # public, or is looked up by the benchmark. Imports are not uses.
+    trees, used = src_trees_and_names_read()
     unused = sorted(
         f"{path.stem}.{name}" for path, tree in trees.items()
         for name in top_level_names(tree)
         if name not in used and name not in uplinksim.__all__
-        and not (name.startswith("__") and name.endswith("__")))
+        and not is_dunder(name))
     assert unused == []
+
+
+def test_every_method_is_called():
+    # No surface kept only for tests: each method of a class in src/,
+    # properties included, is read by name in src/ or by the benchmark.
+    # Dunder methods are called by the language, not by name.
+    trees, used = src_trees_and_names_read()
+    uncalled = sorted(
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+        and node.name not in used and not is_dunder(node.name))
+    assert uncalled == []
 
 
 def test_no_unused_imports():

@@ -335,10 +335,11 @@ def test_load_events_csv_accepts_csv_variants_and_shares_values(tmp_path):
         b"300,1505.0,completion,1000,1000,70000,400,,\n"
         b"301,1510.0,grant,1000,1000,70000,400\n")
     log = load_events_csv(str(path), total_frames=302)
-    assert log.events == [(300, 1501.5, "arrival", 1000, 1000, 70000, 1000),
-                          (300, 1505.0, "grant", 1000, 1000, 70000, 600),
-                          (300, 1505.0, "completion", 1000, 1000, 70000, 400),
-                          (301, 1510.0, "grant", 1000, 1000, 70000, 400)]
+    assert list(log.events) == [
+        (300, 1501.5, "arrival", 1000, 1000, 70000, 1000),
+        (300, 1505.0, "grant", 1000, 1000, 70000, 600),
+        (300, 1505.0, "completion", 1000, 1000, 70000, 400),
+        (301, 1510.0, "grant", 1000, 1000, 70000, 400)]
     first, grant, odd, later = log.events
     # One frame int and one stamp per frame, the engine's event names, and
     # one int per distinct integer field value.

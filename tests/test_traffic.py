@@ -36,7 +36,8 @@ def test_constant_rate_spec_rate_arithmetic():
     spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
                        rate_bits_per_s=64_000.0, packet_size_bits=800,
                        start_time=0.0, stop_time=10_000.0)
-    reqs = generate_station((spec,), station_id=0, seed=1, horizon=1000.0)
+    reqs = generate_station((spec,), station_id=0, seed=1, horizon=1000.0,
+                            built={})
     assert len(reqs) == 80
     for k, r in enumerate(reqs):
         assert r.arrival_time == k * 12.5
@@ -46,7 +47,7 @@ def test_constant_rate_spec_rate_arithmetic():
 def test_zero_horizon_empty():
     spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
                        rate_bits_per_s=64_000.0, packet_size_bits=800)
-    assert generate_station((spec,), 0, 1, 0.0) == []
+    assert generate_station((spec,), 0, 1, 0.0, {}) == []
 
 
 def test_poisson_mean_interarrival_within_5_percent():
@@ -55,7 +56,7 @@ def test_poisson_mean_interarrival_within_5_percent():
                        rate_bits_per_s=800_000.0, packet_size_bits=800,
                        start_time=0.0, stop_time=float("inf"))
     reqs = generate_station((spec,), station_id=3, seed=99,
-                            horizon=60_000.0)
+                            horizon=60_000.0, built={})
     assert len(reqs) > 10_000
     gaps = [b.arrival_time - a.arrival_time
             for a, b in zip(reqs[:10_000], reqs[1:10_001])]
@@ -66,8 +67,8 @@ def test_poisson_mean_interarrival_within_5_percent():
 def test_generator_determinism():
     spec = TrafficSpec(service_class=BE, pattern="poisson",
                        rate_bits_per_s=32_000.0, packet_size_bits=1600)
-    a = generate_station((spec,), 5, 1234, 30_000.0)
-    b = generate_station((spec,), 5, 1234, 30_000.0)
+    a = generate_station((spec,), 5, 1234, 30_000.0, {})
+    b = generate_station((spec,), 5, 1234, 30_000.0, {})
     assert [(r.arrival_time, r.size_bits, r.deadline) for r in a] == \
            [(r.arrival_time, r.size_bits, r.deadline) for r in b]
 
@@ -77,22 +78,22 @@ def test_stream_independence_across_stations():
                        rate_bits_per_s=32_000.0, packet_size_bits=1600)
     other = TrafficSpec(service_class=BE, pattern="poisson",
                         rate_bits_per_s=64_000.0, packet_size_bits=400)
-    with_spec = generate_station((spec,), station_id=7, seed=5, horizon=20_000.0)
+    with_spec = generate_station((spec,), 7, 5, 20_000.0, {})
     # Station 8 changing its traffic must not perturb station 7's stream.
-    again = generate_station((spec,), station_id=7, seed=5, horizon=20_000.0)
+    again = generate_station((spec,), 7, 5, 20_000.0, {})
     assert [(r.id, r.arrival_time) for r in with_spec] == \
            [(r.id, r.arrival_time) for r in again]
-    st8_a = generate_station((spec,), station_id=8, seed=5, horizon=20_000.0)
-    st8_b = generate_station((other,), station_id=8, seed=5, horizon=20_000.0)
+    st8_a = generate_station((spec,), 8, 5, 20_000.0, {})
+    st8_b = generate_station((other,), 8, 5, 20_000.0, {})
     assert [r.arrival_time for r in st8_a] != [r.arrival_time for r in st8_b]
-    assert stream_rng(5, 7).next_u64() != stream_rng(5, 8).next_u64()
+    assert stream_rng(5, 7, 0).next_u64() != stream_rng(5, 8, 0).next_u64()
 
 
 def test_deadline_law_every_request():
     for cls in (RTPS, BE):
         spec = TrafficSpec(service_class=cls, pattern="poisson",
                            rate_bits_per_s=100_000.0, packet_size_bits=1000)
-        for r in generate_station((spec,), 2, 7, 5_000.0):
+        for r in generate_station((spec,), 2, 7, 5_000.0, {}):
             assert r.deadline == r.arrival_time + cls.deadline_offset_ms
 
 
@@ -103,7 +104,8 @@ def test_time_ordered_and_ids_unique():
         TrafficSpec(service_class=BE, pattern="poisson",
                     rate_bits_per_s=32_000.0, packet_size_bits=1600),
     )
-    reqs = generate_station(specs, station_id=4, seed=11, horizon=10_000.0)
+    reqs = generate_station(specs, station_id=4, seed=11, horizon=10_000.0,
+                            built={})
     times = [r.arrival_time for r in reqs]
     assert times == sorted(times)
     ids = [r.id for r in reqs]
@@ -116,10 +118,12 @@ def test_station_request_id_overflow_rejected(monkeypatch):
     monkeypatch.setattr(traffic, "IDS_PER_STATION", 10)
     spec = TrafficSpec(service_class=RTPS, pattern="constant_rate",
                        rate_bits_per_s=64_000.0, packet_size_bits=800)
-    reqs = generate_station((spec,), station_id=1, seed=1, horizon=125.0)
+    reqs = generate_station((spec,), station_id=1, seed=1, horizon=125.0,
+                            built={})
     assert [r.id for r in reqs] == list(range(10, 20))
     with pytest.raises(ConfigError, match="traffic_specs\\[1\\]"):
-        generate_station((spec,), station_id=1, seed=1, horizon=125.1)
+        generate_station((spec,), station_id=1, seed=1, horizon=125.1,
+                         built={})
 
 
 def test_request_id_overflow_refused_before_building_the_list(monkeypatch):
@@ -132,7 +136,7 @@ def test_request_id_overflow_refused_before_building_the_list(monkeypatch):
     t0 = time.perf_counter()
     try:
         with pytest.raises(ConfigError, match="traffic_specs\\[1\\]"):
-            generate_station((spec,), station_id=1, seed=1, horizon=60_000.0)
+            generate_station((spec,), 1, 1, 60_000.0, {})
         elapsed = time.perf_counter() - t0
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -208,7 +212,8 @@ def test_equal_times_in_one_station_take_ids_in_source_order():
         TrafficSpec(service_class=RTPS, pattern="constant_rate",
                     rate_bits_per_s=64_000.0, packet_size_bits=800),
     )
-    reqs = generate_station(specs, station_id=2, seed=1, horizon=100.0)
+    reqs = generate_station(specs, station_id=2, seed=1, horizon=100.0,
+                            built={})
     assert len(reqs) == 16
     assert [r.id for r in reqs] == list(range(2_000_000, 2_000_016))
     for first, second in zip(reqs[::2], reqs[1::2]):
