@@ -35,11 +35,12 @@ opening boundary, so it met the deadline exactly when it completed before
 this frame.
 
 Event records are 7-tuples ``(frame, time_ms, event, cell, station, request,
-bits)``. A run's log stores them flat, in ``Events``, and reads them back as
-7-tuples of the stored objects, so a record costs seven list slots and no
-tuple object. Arrivals carry their true arrival time; grant, completion,
-deadline_miss and context_switch records are stamped at the closing boundary
-of their frame, which keeps the log time-ordered. The ``bits`` column holds
+bits)``. A run's log stores them flat, in ``Events``, with each frame's
+number once, and reads them back as 7-tuples of the stored objects, so a
+record costs six list slots and no tuple object. Arrivals carry their true
+arrival time; grant, completion, deadline_miss and context_switch records
+are stamped at the closing boundary of their frame, which keeps the log
+time-ordered. The ``bits`` column holds
 the request size for arrivals and completions, the granted bits for grants,
 the unserved remainder for deadline misses, and 0 for context switches.
 Equal values share one int: an untouched request's whole grant and its
@@ -57,7 +58,7 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Dict, Iterator, List, Tuple
 
@@ -73,7 +74,7 @@ class InvariantError(Exception):
     """An internal consistency check failed; the run is aborted."""
 
 
-CHUNK_FIELDS = 7 * 1024
+CHUNK_FIELDS = 6 * 1024
 
 
 def _record(fields) -> tuple:
@@ -87,13 +88,17 @@ def _record(fields) -> tuple:
 
 
 class Events:
-    """Event records stored flat: each list in ``chunks`` holds the seven
-    fields of whole records in order, and the records read back as 7-tuples
-    of the stored objects. ``simulate`` and ``metrics.load_events_csv``
-    extend the list that ``writer`` returns, seven fields at a time, and
-    call ``writer`` again at each new frame. Readers iterate the records,
-    take their ``len`` or read one by int index; ``append`` and item
-    assignment refuse a record of another length.
+    """Event records stored flat, each frame's number once: each list in
+    ``chunks`` holds the six other fields ``(time_ms, event, cell, station,
+    request, bits)`` of whole records in order, and the lists at the same
+    index of ``frames`` and ``counts`` hold the frames of that chunk's
+    records, in order, and how many records each has there. The records
+    read back as 7-tuples of the stored objects. ``simulate`` and
+    ``metrics.load_events_csv`` call ``writer(frame)`` once per frame and
+    extend the list it returns six fields at a time. Readers iterate the
+    records, take their ``len`` or read one by int index; ``append`` and
+    item assignment refuse a record of another length, and item assignment
+    refuses one of another frame.
 
     Chunks of about ``CHUNK_FIELDS`` fields, not one list, because one list
     of millions of slots grows by reallocation, and once a run has freed
@@ -101,46 +106,89 @@ class Events:
     and keeps them resident: in a process that simulates canonical (12000
     frames) run after run (CPython 3.11, glibc, 2-CPU Linux VM), one list
     held each run after the first at a peak RSS of 61 MiB, chunks at 49 MiB.
+    A full chunk keeps its growth slack: copying each full chunk to its
+    exact length, which drops that slack, left the freed growth buffers
+    resident between runs and raised perfbench's ``canonical_cli`` peak RSS
+    by 5%.
     """
 
-    __slots__ = ("chunks",)
+    __slots__ = ("chunks", "frames", "counts", "_start")
 
     def __init__(self) -> None:
         self.chunks: List[list] = [[]]
+        self.frames: List[list] = [[]]
+        self.counts: List[List[int]] = [[]]
+        self._start = 0  # the first field of the last frame in the last chunk
 
-    def writer(self):
-        """The ``extend`` of the last chunk, after starting a new chunk if
-        the last holds ``CHUNK_FIELDS`` fields or more."""
-        chunks = self.chunks
-        if len(chunks[-1]) >= CHUNK_FIELDS:
-            chunks.append([])
-        return chunks[-1].extend
+    def _count(self) -> None:
+        """Set the record count of the last chunk's last frame."""
+        counts = self.counts[-1]
+        if counts:
+            counts[-1] = (len(self.chunks[-1]) - self._start) // 6
+
+    def writer(self, frame):
+        """The ``extend`` of the last chunk, for the records of ``frame``.
+        A new chunk is started first if the last holds ``CHUNK_FIELDS``
+        fields or more; a last frame that got no record gives way to
+        ``frame``."""
+        self._count()
+        chunk, frames, counts = (self.chunks[-1], self.frames[-1],
+                                 self.counts[-1])
+        if len(chunk) >= CHUNK_FIELDS:
+            chunk, frames, counts = [], [], []
+            self.chunks.append(chunk)
+            self.frames.append(frames)
+            self.counts.append(counts)
+        if frames and not counts[-1]:
+            frames[-1] = frame
+        elif not frames or frames[-1] != frame:
+            frames.append(frame)
+            counts.append(0)
+            self._start = len(chunk)
+        return chunk.extend
 
     def __len__(self) -> int:
-        return sum(map(len, self.chunks)) // 7
+        return sum(map(len, self.chunks)) // 6
 
     def __iter__(self):
-        return chain.from_iterable(zip(it, it, it, it, it, it, it)
-                                   for it in map(iter, self.chunks))
+        self._count()
+        return chain.from_iterable(
+            zip(chain.from_iterable(map(repeat, frames, counts)),
+                it, it, it, it, it, it)
+            for frames, counts, it in zip(self.frames, self.counts,
+                                          map(iter, self.chunks)))
 
-    def _find(self, i: int) -> Tuple[list, int]:
-        """The chunk of record ``i``, for ``0 <= i < len(self)``, and the
-        index of its first field there."""
-        for chunk in self.chunks:
-            if 7 * i < len(chunk):
-                return chunk, 7 * i
-            i -= len(chunk) // 7
+    def _find(self, i: int) -> tuple:
+        """The chunk of record ``i``, an int index of ``len(self)`` records,
+        the index of the record's first field there, and its frame."""
+        i = range(len(self))[i]
+        self._count()
+        for chunk, frames, counts in zip(self.chunks, self.frames,
+                                         self.counts):
+            if 6 * i >= len(chunk):
+                i -= len(chunk) // 6
+                continue
+            first = 6 * i
+            for frame, n in zip(frames, counts):
+                if i < n:
+                    return chunk, first, frame
+                i -= n
 
     def __getitem__(self, i: int) -> tuple:
-        chunk, j = self._find(range(len(self))[i])
-        return tuple(chunk[j:j + 7])
+        chunk, j, frame = self._find(i)
+        return (frame, *chunk[j:j + 6])
 
     def __setitem__(self, i: int, record) -> None:
-        chunk, j = self._find(range(len(self))[i])
-        chunk[j:j + 7] = _record(record)
+        record = _record(record)
+        chunk, j, frame = self._find(i)
+        if record[0] != frame:
+            raise ValueError(f"event record {i} belongs to frame {frame}, "
+                             f"got one of frame {record[0]!r}")
+        chunk[j:j + 6] = record[1:]
 
     def append(self, record) -> None:
-        self.writer()(_record(record))
+        record = _record(record)
+        self.writer(record[0])(record[1:])
 
 
 @dataclass
@@ -149,7 +197,8 @@ class EventLog:
 
     ``events`` is read only by iterating it, taking its ``len`` or indexing
     it, and yields 7-tuples ``(frame, time_ms, event, cell, station,
-    request, bits)``: a run's log holds an ``Events``, and a plain list of
+    request, bits)``: a run's log holds an ``Events``, which stores six
+    fields per record and each frame's number once, and a plain list of
     7-tuples serves every reader alike. ``Events`` defines no equality, so
     two logs' records compare as ``list(log.events)``.
     """
@@ -263,7 +312,7 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
     a, batch = next(arrivals, end)
 
     for f in range(n_frames):
-        ev = writer()
+        ev = writer(f)
         now = f * delta
         boundary = closes[f]
 
@@ -273,7 +322,7 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                 cid, on_arrival = arrive[sid]
                 log.requests[r.id] = r
                 on_arrival(r)
-                ev((f, r.arrival_time, "arrival", cid, sid, r.id, r.size_bits))
+                ev((r.arrival_time, "arrival", cid, sid, r.id, r.size_bits))
                 g = bisect_right(closes, r.deadline, f)
                 if g < n_frames:
                     due[g].append(r)
@@ -293,7 +342,7 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
             for r, bits in grants:
                 total += bits
                 if open_req is not None and open_req is not r:
-                    ev((f, boundary, "context_switch", cid,
+                    ev((boundary, "context_switch", cid,
                         open_req.station_id, open_req.id, 0))
                 done = apply_grant(r, bits)
                 if not done:
@@ -301,10 +350,10 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
                     left = r.left_bits
                     r.left_bits = share(left, left)
                 sid = r.station_id
-                ev((f, boundary, "grant", cid, sid, r.id, bits))
+                ev((boundary, "grant", cid, sid, r.id, bits))
                 if done:
                     open_req = None
-                    ev((f, boundary, "completion", cid, sid, r.id,
+                    ev((boundary, "completion", cid, sid, r.id,
                         r.size_bits))
                 else:
                     open_req = r
@@ -317,7 +366,7 @@ def simulate(scenario: Scenario, requests: List[Request]) -> EventLog:
         for r in late:
             sid = r.station_id
             rem = r.left_bits
-            ev((f, boundary, "deadline_miss", arrive[sid][0], sid, r.id, rem))
+            ev((boundary, "deadline_miss", arrive[sid][0], sid, r.id, rem))
             if drop and rem > 0:
                 r.dropped = True
 

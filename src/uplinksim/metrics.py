@@ -335,9 +335,10 @@ def load_events_csv(path: str, *, total_frames: int,
     ``compute_metrics`` gives a reloaded log no per-class delay stats.
 
     Rows are stored flat in one ``engine.Events``, as the engine's log is,
-    and share their values as it does: one int per frame, one stamp per
-    frame, the engine's event names and one int per distinct integer field,
-    each kind from its own cache.
+    with ``writer(frame)`` called once per frame, and share their values as
+    it does: one int per frame, one stamp per frame, the engine's event
+    names and one int per distinct integer field, each kind from its own
+    cache.
     """
     delta = frame_duration_ms
     if not 0 < delta < math.inf:
@@ -374,7 +375,7 @@ def load_events_csv(path: str, *, total_frames: int,
                             f"{path}:{reader.line_num}: frame {f} after "
                             f"frame {frame}; rows must be in frame order"])
                     frame, stamp = f, frame_close(f, delta)
-                    ev = writer()
+                    ev = writer(f)
                 if kind == "arrival":
                     if int(t // delta) != f and bad is None:
                         bad = (f"{path}:{reader.line_num}: arrival at {t!r} "
@@ -393,7 +394,7 @@ def load_events_csv(path: str, *, total_frames: int,
                     if rid not in requests and bad is None:
                         bad = (f"{path}:{reader.line_num}: {kind} of request "
                                f"{rid} has no earlier arrival row")
-                ev((f, t, kind, cell, sid, rid, bits))
+                ev((t, kind, cell, sid, rid, bits))
         except (ValueError, IndexError, OverflowError) as exc:
             raise ConfigError(
                 [f"{path}:{reader.line_num}: malformed row: {exc}"]) from exc

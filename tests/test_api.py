@@ -120,3 +120,30 @@ def test_no_unused_imports():
                         a.asname or a.name.split(".")[0] for a in node.names)
                     if name not in read)
     assert unused == []
+
+
+def events_equality(tree):
+    """The lines of ``==`` and ``!=`` comparisons with an ``.events``
+    attribute on either side."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            for op, pair in zip(node.ops, zip(sides, sides[1:])):
+                if isinstance(op, (ast.Eq, ast.NotEq)) and any(
+                        isinstance(s, ast.Attribute) and s.attr == "events"
+                        for s in pair):
+                    yield node.lineno
+
+
+def test_no_test_compares_events_by_equality():
+    # engine.Events compares by identity, so `a.events == b.events` is
+    # False for equal logs and `!=` passes for them: such an assertion
+    # proves nothing. Equal-log checks compare `list(log.events)`.
+    assert list(events_equality(ast.parse(
+        "x = 1\nassert a.events == b\nassert [] != log.events\n"
+        "assert list(a.events) == list(b.events)\n"
+        "assert 0 < len(a.events) != b.n\n"))) == [2, 3]
+    found = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "tests").glob("*.py"))
+             for line in events_equality(ast.parse(path.read_text()))]
+    assert found == []

@@ -185,9 +185,10 @@ def test_equal_partial_grants_and_remainders_share_one_int(policy):
 
 
 def test_events_read_back_the_logged_objects_as_a_sequence(tmp_path):
-    # The log stores its records flat and reads them back as 7-tuples of
-    # the stored objects; every reader gives the same result for it as for
-    # a plain list of the same tuples.
+    # The log stores six fields per record and each frame's number once per
+    # chunk, and reads the records back as 7-tuples of the stored objects;
+    # every reader gives the same result for it as for a plain list of the
+    # same tuples.
     sc = canonical_scenario(seed=1, scheduler_name="hedf", total_frames=300)
     log = simulate(sc, build_requests(sc))
     events = log.events
@@ -195,13 +196,16 @@ def test_events_read_back_the_logged_objects_as_a_sequence(tmp_path):
     records = list(events)
     fields = list(chain.from_iterable(events.chunks))
     assert len(events.chunks) > 1
-    assert {len(c) % 7 for c in events.chunks} == {0}
-    assert len(events) == len(records) == len(fields) // 7
+    assert {len(c) % 6 for c in events.chunks} == {0}
+    assert len(events) == len(records) == len(fields) // 6
     assert {len(e) for e in records} == {7}
-    assert all(a is b for a, b in zip(chain.from_iterable(events), fields,
-                                      strict=True))
+    assert [e[0] for e in records] == list(chain.from_iterable(
+        [f] * n for f, n in zip(chain.from_iterable(events.frames),
+                                chain.from_iterable(events.counts))))
+    assert all(a is b for a, b in zip(
+        chain.from_iterable(e[1:] for e in events), fields, strict=True))
     assert [events[i] for i in range(len(records))] == records
-    assert events[-1] == records[-1] == tuple(fields[-7:])
+    assert events[-1] == records[-1] == (records[-1][0], *fields[-6:])
     assert events[-len(records)] == records[0]
     with pytest.raises(IndexError):
         events[len(records)]
@@ -209,14 +213,23 @@ def test_events_read_back_the_logged_objects_as_a_sequence(tmp_path):
     for record in records:
         copied.append(record)
     assert len(copied.chunks) > 1 and list(copied) == records
-    # Item assignment reaches records in the first and the last chunk, and
-    # append adds a record after the last.
+    # Item assignment reaches records in the first and the last chunk, with
+    # records of their own frame, and append adds a record after the last.
     i = len(records) - 2
-    copied[i] = records[0]
-    copied[1] = records[2]
+    other = next(e for e in records
+                 if e[0] == records[i][0] and e[2] != records[i][2])
+    copied[i] = other
+    copied[1] = records[0]
     copied.append(records[5])
-    assert list(copied) == (records[:1] + records[2:3] + records[2:i]
-                            + records[:1] + records[i + 1:] + records[5:6])
+    assert list(copied) == (records[:1] + records[:1] + records[2:i]
+                            + [other] + records[i + 1:] + records[5:6])
+    # Assigning a record of another frame would move the record: refused,
+    # and the log is left as it was.
+    before = list(copied)
+    for j, record in ((0, records[-1]), (-2, records[0])):
+        with pytest.raises(ValueError, match="belongs to frame"):
+            copied[j] = record
+    assert list(copied) == before
 
     plain = replace(log, events=records)
     assert compute_metrics(plain) == compute_metrics(log)
@@ -225,6 +238,22 @@ def test_events_read_back_the_logged_objects_as_a_sequence(tmp_path):
         write_events_csv(which, str(tmp_path / f"{name}.csv"))
     assert (tmp_path / "events.csv").read_bytes() == \
         (tmp_path / "plain.csv").read_bytes()
+
+
+def test_event_store_holds_six_fields_per_record():
+    # The store's cost: six list slots per record, and each frame's number
+    # once per chunk it spans.
+    sc = canonical_scenario(seed=1, scheduler_name="edf", total_frames=300)
+    log = simulate(sc, build_requests(sc))
+    chunks = log.events.chunks
+    assert len(chunks) > 1
+    assert sum(map(len, chunks)) == 6 * len(log.events)
+    assert sum(map(len, log.events.frames)) < sc.total_frames + len(chunks)
+    fields = chain.from_iterable(chunks)
+    for record in log.events:
+        assert type(record) is tuple and len(record) == 7
+        assert all(a is b for a, b in zip(record[1:], fields))
+    assert next(fields, None) is None
 
 
 @pytest.mark.parametrize("entry", ["append", "item assignment"])

@@ -113,6 +113,49 @@ def test_engine_invariants_on_random_scenarios(sc):
     assert rec.context_switch_count == count_context_switches(log)
 
 
+def bits_times(sc, m):
+    """``sc`` with every bit quantity times ``m``: cell and station
+    capacities, packet sizes and rates."""
+    return replace(
+        sc,
+        cells=[replace(c, base_station_capacity=c.base_station_capacity * m)
+               for c in sc.cells],
+        stations=[replace(s, capacity_c=s.capacity_c * m)
+                  for s in sc.stations],
+        traffic_specs={
+            sid: tuple(replace(t, rate_bits_per_s=t.rate_bits_per_s * m,
+                               packet_size_bits=t.packet_size_bits * m)
+                       for t in specs)
+            for sid, specs in sc.traffic_specs.items()})
+
+
+# Metamorphic relations. A power of two keeps every float exact. The
+# fairness ranking of ssbpf_edf and hedf adds a constant in bits per frame,
+# so their order moves with the unit of bits, and they are left out.
+@settings(max_examples=60, deadline=None)
+@given(sc=scenarios(), k=st.integers(1, 10),
+       policy=st.sampled_from(["rr", "wrr", "edf"]))
+def test_bits_times_a_power_of_two_scale_only_the_bits_column(sc, k, policy):
+    sc = replace(sc, scheduler_name=policy)
+    m = 2 ** k
+    log, _ = run(sc)
+    scaled, _ = run(bits_times(sc, m))
+    assert list(scaled.events) == [e[:6] + (e[6] * m,) for e in log.events]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sc=scenarios(), data=st.data())
+def test_a_cell_simulated_alone_logs_its_rows_of_the_full_run(sc, data):
+    cell = data.draw(st.sampled_from(sc.cells))
+    alone = replace(
+        sc, cells=[cell],
+        stations=[s for s in sc.stations if s.cell_id == cell.id],
+        traffic_specs={sid: sc.traffic_specs[sid] for sid in cell.station_ids})
+    log, _ = run(sc)
+    assert list(run(alone)[0].events) == \
+        [e for e in log.events if e[3] == cell.id]
+
+
 def demand_feasible_cells(sc):
     """Per cell, the processor-demand test (Baruah, Rosier and Howell,
     Real-Time Systems 2(4), 1990) in the engine's frame time.
